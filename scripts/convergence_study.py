@@ -12,6 +12,7 @@ import argparse
 from pathlib import Path
 
 from entrokit import DensitySpec, convergence_sweep
+from entrokit.quantize import convergence_csv
 
 FAMILIES = {
     "uniform_0_2": DensitySpec.uniform(0.0, 2.0),
@@ -33,13 +34,7 @@ def main() -> None:
     for name, density in FAMILIES.items():
         rows = convergence_sweep(density, h_values)
         path = args.out_dir / f"convergence_{name}.csv"
-        with path.open("w", newline="") as fh:
-            fh.write("h,total_entropy,differential_entropy,abs_error\n")
-            for r in rows:
-                fh.write(
-                    f"{r.h!r},{r.total_entropy!r},"
-                    f"{r.differential_entropy!r},{r.abs_error!r}\n"
-                )
+        path.write_text(convergence_csv(rows), newline="")
         print(f"\n{name}  (H_diff = {rows[0].differential_entropy:.9f})  -> {path}")
         print(f"  {'h':>12}  {'abs_error':>12}  ratio")
         prev = None

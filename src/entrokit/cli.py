@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
 from . import entropy, functional_eq, quantize, statmech
 from .distributions import (
     binned_from_json,
+    check_k,
     density_from_json,
     discrete_from_json,
+    probs_from_json,
     renormalize,
     unit_to_k,
 )
@@ -50,9 +51,7 @@ class CommandSpec:
 
     def resolved_k(self) -> float:
         if self.k is not None:
-            if not (self.k > 0 and math.isfinite(self.k)):
-                raise ValidationError(f"--k must be a positive finite real, got {self.k}")
-            return self.k
+            return check_k(self.k, "--k")
         return unit_to_k(self.unit)
 
     def input_text(self) -> str:
@@ -187,14 +186,7 @@ def _cmd_discrete(spec: CommandSpec) -> dict:
     text = spec.input_text()
     tol = spec.options["tolerance"]
     if spec.options["renormalize"]:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"invalid JSON: {e}") from e
-        probs = obj.get("probs") if isinstance(obj, dict) else obj
-        if not isinstance(probs, list):
-            raise ValidationError("distribution JSON must be an array or {probs: [...]}")
-        dist = renormalize(probs, tolerance=tol)
+        dist = renormalize(probs_from_json(text), tolerance=tol)
     else:
         dist = discrete_from_json(text, tolerance=tol)
     return entropy.shannon_entropy(dist, spec.resolved_k()).to_json_obj()
@@ -230,23 +222,8 @@ def _cmd_converge(spec: CommandSpec) -> dict | str:
     h_values = [spec.options["h_start"] * 2.0**-j for j in range(halvings)]
     rows = quantize.convergence_sweep(density, h_values, spec.resolved_k())
     if spec.output_format == "csv":
-        lines = ["h,total_entropy,differential_entropy,abs_error"]
-        lines += [
-            f"{r.h!r},{r.total_entropy!r},{r.differential_entropy!r},{r.abs_error!r}"
-            for r in rows
-        ]
-        return "\n".join(lines) + "\n"
-    return {
-        "rows": [
-            {
-                "h": r.h,
-                "total_entropy": r.total_entropy,
-                "differential_entropy": r.differential_entropy,
-                "abs_error": r.abs_error,
-            }
-            for r in rows
-        ]
-    }
+        return quantize.convergence_csv(rows)
+    return {"rows": [asdict(r) for r in rows]}
 
 
 def _cmd_axioms(spec: CommandSpec) -> dict:

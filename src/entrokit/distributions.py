@@ -11,10 +11,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from statistics import NormalDist
 from typing import Any
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import (
     NegativeProbability,
@@ -32,6 +32,15 @@ TRUNCATION_EPS = 1e-13
 
 LN2 = math.log(2.0)
 BITS_K = 1.0 / LN2
+SQRT2 = math.sqrt(2.0)
+HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def check_k(k: float, name: str = "k") -> float:
+    """The unit constant k of every entropy: a positive finite real."""
+    if not (k > 0 and math.isfinite(k)):
+        raise ValidationError(f"{name} must be a positive finite real, got {k}")
+    return k
 
 
 def _as_float_vector(x, name: str) -> np.ndarray:
@@ -171,7 +180,7 @@ class DensitySpec:
             if params["sigma"] <= 0:
                 raise ValidationError("gaussian requires sigma > 0")
             mu, sigma = params["mu"], params["sigma"]
-            half = -float(ndtri(eps / 2.0)) * sigma
+            half = -NormalDist().inv_cdf(eps / 2.0) * sigma
             return mu - half, mu + half
         _require_keys(params, ("rate",))
         if params["rate"] <= 0:
@@ -202,7 +211,7 @@ class DensitySpec:
             return (x - a) / (b - a)
         if self.family is DensityFamily.GAUSSIAN:
             mu, sigma = self.params["mu"], self.params["sigma"]
-            return float(ndtr((x - mu) / sigma))
+            return 0.5 * math.erfc(-(x - mu) / (sigma * SQRT2))
         rate = self.params["rate"]
         return -math.expm1(-rate * x) if x > 0.0 else 0.0
 
@@ -210,10 +219,53 @@ class DensitySpec:
         """Closed-form probability mass of [a, b]."""
         return self.cdf(b) - self.cdf(a)
 
+    def bin_masses(self, edges: np.ndarray) -> np.ndarray:
+        """Closed-form mass of every bin between consecutive increasing
+        edges.  Each tail is differenced on its own small side (upper-tail
+        erfc right of a gaussian mean, lower-tail erfc left of it, the
+        survival function for the exponential), so tail bins keep full
+        relative precision instead of cancelling against 1."""
+        edges = np.asarray(edges, dtype=float)
+        if self.family is DensityFamily.UNIFORM:
+            a, b = self.params["a"], self.params["b"]
+            return np.diff(np.clip(edges, a, b)) / (b - a)
+        if self.family is DensityFamily.GAUSSIAN:
+            mu, sigma = self.params["mu"], self.params["sigma"]
+            t = ((edges - mu) / (sigma * SQRT2)).tolist()
+            upper = np.array([math.erfc(v) for v in t])  # 2 P(X > x)
+            lower = np.array([math.erfc(-v) for v in t])  # 2 P(X < x)
+            right = edges[:-1] >= mu
+            return 0.5 * np.where(right, upper[:-1] - upper[1:], lower[1:] - lower[:-1])
+        rate = self.params["rate"]
+        x = np.maximum(edges, 0.0)
+        return np.exp(-rate * x[:-1]) * -np.expm1(-rate * np.diff(x))
+
+    def entropy_integral(self) -> tuple[float, float]:
+        """Closed form of -integral f ln f over the support, together with
+        the mass M the support captures (1 up to the truncated tails)."""
+        lo, hi = self.support
+        if self.family is DensityFamily.UNIFORM:
+            a, b = self.params["a"], self.params["b"]
+            m = (min(hi, b) - max(lo, a)) / (b - a)
+            return m * math.log(b - a), m
+        m = float(self.bin_masses(np.array([lo, hi]))[0])
+        if self.family is DensityFamily.GAUSSIAN:
+            # -ln f = ln sigma + ln sqrt(2 pi) + z^2/2, and the integral of
+            # z^2 phi(z) over [za, zb] is M - [z phi(z)] from za to zb
+            mu, sigma = self.params["mu"], self.params["sigma"]
+            za, zb = (lo - mu) / sigma, (hi - mu) / sigma
+            zphi = [z * math.exp(-0.5 * z * z - HALF_LN_2PI) for z in (za, zb)]
+            return m * (math.log(sigma) + HALF_LN_2PI) + 0.5 * (m - (zphi[1] - zphi[0])), m
+        # -ln f = -ln r + u with u = r x, and the integral of u e^-u over
+        # [ua, ub] is (ua + 1) e^-ua - (ub + 1) e^-ub
+        rate = self.params["rate"]
+        ua, ub = rate * max(lo, 0.0), rate * hi
+        return -m * math.log(rate) + (ua + 1.0) * math.exp(-ua) - (ub + 1.0) * math.exp(-ub), m
+
     def discontinuities(self) -> tuple[float, ...]:
         """Points where the density jumps (natural support edges with
-        positive density); quadrature splits at these, and the quantizer
-        anchors its grid at the first one."""
+        positive density); the quantizer anchors its grid at the first
+        one."""
         if self.family is DensityFamily.UNIFORM:
             return (self.params["a"], self.params["b"])
         if self.family is DensityFamily.EXPONENTIAL:
@@ -259,8 +311,7 @@ class EntropyValue:
     unit: EntropyUnit
 
     def __post_init__(self) -> None:
-        if not (self.k > 0 and math.isfinite(self.k)):
-            raise ValidationError(f"k must be a positive finite real, got {self.k}")
+        check_k(self.k)
         unit = EntropyUnit(self.unit)
         object.__setattr__(self, "unit", unit)
         if unit is EntropyUnit.NATS and abs(self.k - 1.0) > 1e-12:
@@ -341,10 +392,9 @@ def _load_json(text_or_obj):
     return text_or_obj
 
 
-def discrete_from_json(
-    text_or_obj, tolerance: float = DEFAULT_TOLERANCE
-) -> DiscreteDistribution:
-    """Accepts {"probs": [...]} or a bare JSON array."""
+def probs_from_json(text_or_obj) -> list:
+    """The raw probability list of {"probs": [...]} or a bare JSON array,
+    unvalidated, so the caller decides between checking and rescaling."""
     obj = _load_json(text_or_obj)
     if isinstance(obj, dict):
         if "probs" not in obj:
@@ -352,7 +402,14 @@ def discrete_from_json(
         obj = obj["probs"]
     if not isinstance(obj, list):
         raise ValidationError("distribution JSON must be an array or {probs: [...]}")
-    return validate_distribution(obj, tolerance=tolerance)
+    return obj
+
+
+def discrete_from_json(
+    text_or_obj, tolerance: float = DEFAULT_TOLERANCE
+) -> DiscreteDistribution:
+    """Accepts {"probs": [...]} or a bare JSON array."""
+    return validate_distribution(probs_from_json(text_or_obj), tolerance=tolerance)
 
 
 def binned_from_json(text_or_obj, tolerance: float = DEFAULT_TOLERANCE) -> BinnedVariable:

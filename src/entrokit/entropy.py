@@ -11,12 +11,18 @@ nonnegativity is asserted only for the discrete case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .distributions import BinnedVariable, DiscreteDistribution, EntropyValue, product_distribution
+from .distributions import (
+    BinnedVariable,
+    DiscreteDistribution,
+    EntropyValue,
+    check_k,
+    product_distribution,
+)
 from .errors import PhiUndefined, ValidationError
 
 MAJORIZATION_TOL = 1e-12
@@ -29,7 +35,7 @@ def _neg_plogp_terms(probs: np.ndarray) -> list[float]:
 
 def shannon_entropy(p: DiscreteDistribution, k: float = 1.0) -> EntropyValue:
     """-k * sum(p_i ln p_i), with zero entries contributing exactly 0."""
-    _require_positive_k(k)
+    check_k(k)
     value = k * math.fsum(_neg_plogp_terms(p.probs))
     return EntropyValue.from_k(value, k)
 
@@ -84,7 +90,7 @@ def phi_entropy(p: DiscreteDistribution, phi: PhiFunction) -> float:
 def total_entropy(v: BinnedVariable, k: float = 1.0) -> EntropyValue:
     """-k * sum(p_i ln(p_i / h_i)): Shannon entropy plus the expected
     post-observational uncertainty k ln h_i per interval."""
-    _require_positive_k(k)
+    check_k(k)
     p = v.probs
     h = v.widths
     mask = p > 0
@@ -141,11 +147,6 @@ def schur_concavity_check(
         entropy_ordered=ordered,
         incomparable=not (p_maj_q or q_maj_p),
     )
-
-
-def _require_positive_k(k: float) -> None:
-    if not (k > 0 and math.isfinite(k)):
-        raise ValidationError(f"k must be a positive finite real, got {k}")
 
 
 # -- randomized axiom-verification suite ---------------------------------------
@@ -209,21 +210,7 @@ class AxiomSuiteReport:
     passed: bool
 
     def to_json_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_distributions": self.n_distributions,
-            "max_n": self.max_n,
-            "min_entropy": self.min_entropy,
-            "max_uniform_bound_excess": self.max_uniform_bound_excess,
-            "uniform_equality_gap": self.uniform_equality_gap,
-            "equality_only_at_uniform": self.equality_only_at_uniform,
-            "additivity_pairs": self.additivity_pairs,
-            "additivity_max_defect": self.additivity_max_defect,
-            "concavity_min_slack": self.concavity_min_slack,
-            "majorization_pairs": self.majorization_pairs,
-            "majorization_violations": self.majorization_violations,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def run_axiom_suite(
@@ -240,7 +227,7 @@ def run_axiom_suite(
     The corpus is drawn in same-length pairs so each pair feeds both the
     concavity mixture test and the per-distribution checks.
     """
-    _require_positive_k(k)
+    check_k(k)
     rng = np.random.default_rng(seed)
 
     min_entropy = math.inf

@@ -49,7 +49,7 @@ class NotAdmissible(EntrokitError):
     """A fitted kernel slope is incompatible with a concave entropy."""
 
 
-# -- quantization / quadrature ------------------------------------------------
+# -- quantization -------------------------------------------------------------
 
 
 class NonPositiveWidth(ValidationError):
@@ -58,10 +58,6 @@ class NonPositiveWidth(ValidationError):
 
 class UnboundedSupport(EntrokitError):
     """Support truncation failed to capture the required probability mass."""
-
-
-class QuadratureFailure(EntrokitError):
-    """Adaptive integration did not reach the requested tolerance."""
 
 
 # -- statistical mechanics ----------------------------------------------------

@@ -1,5 +1,5 @@
 """Quantization of continuous densities into binned variables, differential
-entropy by adaptive quadrature, and the h -> 0 convergence harness.
+entropy in closed form, and the h -> 0 convergence harness.
 
 Grid rule: bins all have width h and tile the truncated support.  A density
 with a hard support edge (a jump, like the flat or one-sided families)
@@ -8,9 +8,9 @@ densities center the grid so the support midpoint falls on a bin midpoint.
 Both choices leave the h -> 0 limit untouched; the second keeps symmetric
 densities symmetric about a bin center instead of an edge.
 
+Bin masses are closed-form CDF differences (see DensitySpec.bin_masses).
 Summations use exact compensated summation (math.fsum), so results do not
-depend on evaluation order and parallel bin integration would reproduce the
-serial result bit for bit.
+depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -20,17 +20,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
-from .distributions import BinnedVariable, DensitySpec, DiscreteDistribution, EntropyValue
+from .distributions import (
+    BinnedVariable,
+    DensitySpec,
+    DiscreteDistribution,
+    EntropyValue,
+    check_k,
+)
 from .entropy import total_entropy
-from .errors import NonPositiveWidth, QuadratureFailure, UnboundedSupport, ValidationError
+from .errors import NonPositiveWidth, UnboundedSupport, ValidationError
 
-#: absolute quadrature tolerance for a single bin mass
-BIN_QUAD_TOL = 1e-10
-#: absolute quadrature tolerance for full-support integrals
-FULL_QUAD_TOL = 1e-9
-#: normalization slack allowed for quadrature-produced distributions
+#: normalization slack allowed for quantized distributions
 QUANTIZED_TOL = 1e-8
 
 
@@ -92,23 +93,13 @@ def _grid(f: DensitySpec, h: float) -> tuple[float, int]:
     return c + (j_min - 0.5) * h, j_max - j_min + 1
 
 
-def _bin_mass(f: DensitySpec, a: float, b: float) -> float:
-    pts = [x for x in f.discontinuities() if a < x < b]
-    val, abserr = quad(f.pdf, a, b, epsabs=BIN_QUAD_TOL, limit=200, points=pts or None)
-    if not math.isfinite(val) or abserr > 100 * BIN_QUAD_TOL:
-        raise QuadratureFailure(
-            f"bin [{a}, {b}] integrated to {val} with error estimate {abserr}"
-        )
-    return max(val, 0.0)
-
-
 def quantize_density(f: DensitySpec, h: float) -> QuantizationResult:
-    """Cut the truncated support into width-h bins and integrate the density
-    over each; representative points are the bin midpoints.
+    """Cut the truncated support into width-h bins and take the density's
+    mass in each; representative points are the bin midpoints.
 
-    The deficit is measured independently of the bin masses, from the
-    closed-form CDF, so the conservation invariant (masses + deficit = 1) is
-    a genuine quadrature check rather than bookkeeping.
+    The deficit is measured separately from the bin masses, from the CDF
+    outside the grid, so the conservation invariant (masses + deficit = 1)
+    checks the tail-aware bin masses rather than restating them.
     """
     if h <= 0 or not math.isfinite(h):
         raise NonPositiveWidth(f"h must be a positive real, got {h}")
@@ -119,7 +110,7 @@ def quantize_density(f: DensitySpec, h: float) -> QuantizationResult:
         raise UnboundedSupport("truncated support does not hold 1 - 1e-9 of the mass")
     x0, n = _grid(f, h)
     edges = x0 + h * np.arange(n + 1)
-    probs = np.array([_bin_mass(f, edges[i], edges[i + 1]) for i in range(n)])
+    probs = np.maximum(f.bin_masses(edges), 0.0)
     mids = x0 + h * (np.arange(n) + 0.5)
     deficit = max(0.0, f.cdf(float(edges[0])) + (1.0 - f.cdf(float(edges[-1]))))
     binned = BinnedVariable(
@@ -131,38 +122,21 @@ def quantize_density(f: DensitySpec, h: float) -> QuantizationResult:
 
 
 def differential_entropy(f: DensitySpec, k: float = 1.0) -> EntropyValue:
-    """-k * integral of f ln f over the support, by adaptive quadrature.
+    """-k * integral of f ln f over the support, in closed form.
 
-    The integrand is defined as 0 wherever f <= 0, extending the discrete
-    0*ln(0) convention.  Can be negative (densities above 1 contribute
-    negative uncertainty); nothing here enforces a sign.
+    The integrand is 0 wherever f = 0, extending the discrete 0*ln(0)
+    convention.  Can be negative (densities above 1 contribute negative
+    uncertainty); nothing here enforces a sign.
     """
-    _check_k(k)
-    value = _entropy_integral(f, lambda d: -d * math.log(d))
+    check_k(k)
+    value, _ = f.entropy_integral()
     return EntropyValue.from_k(k * value, k)
-
-
-def _entropy_integral(f: DensitySpec, term) -> float:
-    lo, hi = f.support
-
-    def integrand(x: float) -> float:
-        d = f.pdf(x)
-        return term(d) if d > 0.0 else 0.0
-
-    pts = [x for x in f.discontinuities() if lo < x < hi]
-    val, abserr = quad(integrand, lo, hi, epsabs=FULL_QUAD_TOL, limit=500, points=pts or None)
-    if not math.isfinite(val) or abserr > 100 * FULL_QUAD_TOL:
-        raise QuadratureFailure(
-            f"entropy integral on [{lo}, {hi}] returned {val} "
-            f"with error estimate {abserr}"
-        )
-    return val
 
 
 def total_entropy_from_density(f: DensitySpec, h: float, k: float = 1.0) -> EntropyValue:
     """Quantize at width h, then apply the total-entropy formula with the
     uniform widths: -k * sum(p_i ln(p_i / h))."""
-    _check_k(k)
+    check_k(k)
     return total_entropy(quantize_density(f, h).binned, k)
 
 
@@ -172,7 +146,7 @@ def convergence_sweep(
     """One row per width: total entropy at h against the differential
     entropy, in the given order.  The limit h -> 0 closes the gap; the rate
     is not asserted here, only measured."""
-    _check_k(k)
+    check_k(k)
     hs = [float(h) for h in h_values]
     if any(h <= 0 for h in hs):
         raise NonPositiveWidth("all h values must be > 0")
@@ -190,6 +164,12 @@ def convergence_sweep(
     return rows
 
 
-def _check_k(k: float) -> None:
-    if not (k > 0 and math.isfinite(k)):
-        raise ValidationError(f"k must be a positive finite real, got {k}")
+def convergence_csv(rows: Sequence[ConvergenceRow]) -> str:
+    """The sweep as CSV text: a header, then one full-precision row per
+    width, LF line endings."""
+    lines = ["h,total_entropy,differential_entropy,abs_error"]
+    lines += [
+        f"{r.h!r},{r.total_entropy!r},{r.differential_entropy!r},{r.abs_error!r}"
+        for r in rows
+    ]
+    return "\n".join(lines) + "\n"

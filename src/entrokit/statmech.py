@@ -23,11 +23,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .distributions import DensitySpec, EntropyValue
+from .distributions import DensitySpec, EntropyValue, check_k
 from .errors import InvalidDensity, ValidationError
-from .quantize import _check_k, _entropy_integral
 
 MAXENT_SLACK = 1e-12
 
@@ -36,13 +34,13 @@ def modified_differential_entropy(f: DensitySpec, h: float, k: float = 1.0) -> E
     """-k * integral of f ln(h f): the quantity the quantized Shannon
     entropy actually approaches as the bin width h shrinks.
 
-    Integrated directly; the exact identity against the plain differential
-    entropy (difference is -k ln h) is left to the tests."""
-    _check_k(k)
+    In closed form, H - M ln h, where H is the plain differential entropy
+    and M the mass of the truncated support."""
+    check_k(k)
     if h <= 0 or not math.isfinite(h):
         raise ValidationError(f"h must be a positive real, got {h}")
-    value = _entropy_integral(f, lambda d: -d * math.log(h * d))
-    return EntropyValue.from_k(k * value, k)
+    value, mass = f.entropy_integral()
+    return EntropyValue.from_k(k * (value - mass * math.log(h)), k)
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,7 @@ def log_phase_ball_volume(spec: ShellSpec, energy: float | None = None) -> float
     return (
         n * math.log(spec.V)
         + 1.5 * n * math.log(2.0 * math.pi * spec.m * e)
-        - float(gammaln(1.5 * n + 1.0))
+        - math.lgamma(1.5 * n + 1.0)
     )
 
 
@@ -106,10 +104,10 @@ def log_phase_shell_volume(spec: ShellSpec) -> float:
 
 def boltzmann_entropy(spec: ShellSpec, k: float = 1.0) -> EntropyValue:
     """S = k ln(Omega / C^N), with ln N! via lnGamma(N + 1)."""
-    _check_k(k)
+    check_k(k)
     s = log_phase_shell_volume(spec) - 3.0 * spec.N * math.log(spec.planck_h)
     if spec.indistinguishable:
-        s -= float(gammaln(spec.N + 1.0))
+        s -= math.lgamma(spec.N + 1.0)
     return EntropyValue.from_k(k * s, k)
 
 
@@ -121,7 +119,7 @@ def sackur_tetrode_entropy(spec: ShellSpec, k: float = 1.0) -> EntropyValue:
     i.e. the Stirling-approximated large-N limit of boltzmann_entropy.
     Serves as the independent cross-check the CLI reports alongside the
     shell-volume path."""
-    _check_k(k)
+    check_k(k)
     n = spec.N
     arg = (spec.V / n) * (
         4.0 * math.pi * spec.m * spec.E / (3.0 * n * spec.planck_h**2)
@@ -167,7 +165,7 @@ class DiscretizedShellDensity:
 
 def shell_entropy(d: DiscretizedShellDensity, C: float, k: float = 1.0) -> float:
     """Discretized S = -k sum(w_i f_i ln(C f_i)); empty cells contribute 0."""
-    _check_k(k)
+    check_k(k)
     if not (C > 0 and math.isfinite(C)):
         raise ValidationError(f"C must be a positive finite real, got {C}")
     w = d.cell_volumes
@@ -254,7 +252,7 @@ def compare_entropy_forms(
     ln_omega: float, planck_h: float, N: int, k: float = 1.0
 ) -> EntropyFormComparison:
     """Evaluate both expressions from a known log shell volume."""
-    _check_k(k)
+    check_k(k)
     if not (planck_h > 0 and math.isfinite(planck_h)):
         raise ValidationError(f"planck_h must be a positive finite real, got {planck_h}")
     if N < 1:

@@ -1,7 +1,11 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,14 @@ class TestRunOutputs:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(math.log(2.0), abs=1e-15)
 
+    def test_renormalize_reads_the_probs_object(self):
+        code, out, _ = invoke(["discrete", "--probs", '{"probs":[1,3]}', "--renormalize"])
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(0.5623351446188083, abs=1e-15)
+        code, out, _ = invoke(["discrete", "--probs", '{"p":[1,3]}', "--renormalize"])
+        assert code == 65
+        assert json.loads(out)["error"]["kind"] == "ValidationError"
+
     def test_total_from_file(self, tmp_path):
         f = tmp_path / "binned.json"
         f.write_text('{"values":[0,1],"probs":[0.5,0.5],"widths":[2,2]}')
@@ -128,6 +140,15 @@ class TestRunOutputs:
         assert "\r" not in out
         errs = [float(line.split(",")[3]) for line in lines[1:]]
         assert errs[0] > errs[1] > errs[2]
+
+    def test_quantize_point_mass_is_one_bin(self):
+        # sigma far below h: the whole mass falls in the central bin
+        code, out, _ = invoke(
+            ["quantize", "--density", '{"family":"gaussian","mu":0,"sigma":1e-300}',
+             "--h", "1"]
+        )
+        assert code == 0
+        assert json.loads(out)["binned"]["probs"] == [1.0]
 
     def test_converge_json(self):
         code, out, _ = invoke(
@@ -191,6 +212,12 @@ class TestExitCodes:
         assert code == 66
         assert json.loads(out)["error"]["kind"] == "FileNotFound"
 
+    @pytest.mark.parametrize("k", ["0", "-1", "nan", "inf"])
+    def test_bad_k_is_65(self, k):
+        code, out, _ = invoke(["discrete", "--probs", "[0.5,0.5]", "--k", k])
+        assert code == 65
+        assert json.loads(out)["error"]["kind"] == "ValidationError"
+
     def test_usage_error_is_2(self):
         code, _, _ = invoke(["discrete", "--probs", "[0.5,0.5]", "--frobnicate"])
         assert code == 2
@@ -231,3 +258,19 @@ class TestDeterminism:
         second = invoke(argv)
         assert first[0] == second[0] == 0
         assert first[1] == second[1]
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a scipy import anywhere under
+    # the CLI would show up here
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = (
+        "import entrokit.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -23,6 +23,8 @@ from entrokit import (
     shell_entropy,
 )
 
+from conftest import oracle_entropy_integral
+
 GAUSS_HC = 0.5 * math.log(2.0 * math.pi * math.e)
 
 
@@ -57,6 +59,19 @@ class TestModifiedDifferentialEntropy:
             - differential_entropy(f).value
         )
         assert gap == pytest.approx(-math.log(h), abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            DensitySpec.uniform(0.0, 2.0),
+            DensitySpec.gaussian(-1.0, 0.5),
+            DensitySpec.exponential(3.0),
+        ],
+    )
+    @pytest.mark.parametrize("h", [0.1, 2.0])
+    def test_matches_quadrature_oracle(self, f, h):
+        ref, _ = oracle_entropy_integral(f, h)
+        assert abs(modified_differential_entropy(f, h).value - ref) <= 1e-14
 
     def test_rejects_bad_width(self):
         with pytest.raises(ValidationError):
