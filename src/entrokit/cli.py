@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
-from typing import Any
 
 from . import entropy, functional_eq, quantize, statmech
 from .distributions import (
     binned_from_json,
-    check_k,
+    check_positive,
     density_from_json,
     discrete_from_json,
     probs_from_json,
@@ -33,39 +32,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 65
 EXIT_NOINPUT = 66
 EXIT_INTERNAL = 70
-
-
-@dataclass(frozen=True)
-class CommandSpec:
-    """A fully parsed invocation: the subcommand plus its options, with the
-    input source resolved to exactly one of inline text or a file path."""
-
-    subcommand: str
-    inline: str | None = None
-    path: str | None = None
-    unit: str = "nats"
-    k: float | None = None
-    output_format: str = "json"
-    seed: int = 0
-    options: dict[str, Any] = field(default_factory=dict)
-
-    def resolved_k(self) -> float:
-        if self.k is not None:
-            return check_k(self.k, "--k")
-        return unit_to_k(self.unit)
-
-    def input_text(self) -> str:
-        if self.inline is not None:
-            return self.inline
-        assert self.path is not None
-        p = Path(self.path)
-        if not p.is_file():
-            raise FileNotFoundError(f"input file not found: {self.path}")
-        return p.read_text()
-
-
-def _looks_inline(value: str) -> bool:
-    return value.lstrip()[:1] in ("[", "{")
 
 
 def _add_unit_flags(sub: argparse.ArgumentParser) -> None:
@@ -152,88 +118,81 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: list[str]) -> CommandSpec:
-    ns = build_parser().parse_args(argv)
-    opts = vars(ns).copy()
-    subcommand = opts.pop("subcommand")
-    inline = None
-    path = opts.pop("input", None)
-    for flag in ("probs", "data", "density"):
-        value = opts.pop(flag, None)
-        if value is not None:
-            # fit-phi's --data is raw CSV text; everywhere else the sigil
-            # decides between inline JSON and a file path
-            if subcommand == "fit-phi" or _looks_inline(value):
-                inline = value
-            else:
-                path = value
-    return CommandSpec(
-        subcommand=subcommand,
-        inline=inline,
-        path=path,
-        unit=opts.pop("unit", "nats"),
-        k=opts.pop("k", None),
-        output_format=opts.pop("format", "json"),
-        seed=opts.pop("seed", 0),
-        options=opts,
-    )
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    return build_parser().parse_args(argv)
 
 
 # -- handlers ------------------------------------------------------------------
 
 
-def _cmd_discrete(spec: CommandSpec) -> dict:
-    text = spec.input_text()
-    tol = spec.options["tolerance"]
-    if spec.options["renormalize"]:
-        dist = renormalize(probs_from_json(text), tolerance=tol)
+def _k(ns: argparse.Namespace) -> float:
+    """The unit constant: --k when given, else the --unit preset."""
+    if ns.k is not None:
+        return check_positive(ns.k, "--k")
+    return unit_to_k(ns.unit)
+
+
+def _input_text(ns: argparse.Namespace, flag: str) -> str:
+    """The text given by `flag` or by --input, whichever is set: a `flag`
+    value starting with [ or { is inline JSON, and any other value names a
+    file, as --input always does."""
+    value = getattr(ns, flag)
+    if value is not None and value.lstrip()[:1] in ("[", "{"):
+        return value
+    path = ns.input if value is None else value
+    if not Path(path).is_file():
+        raise FileNotFoundError(f"input file not found: {path}")
+    return Path(path).read_text()
+
+
+def _cmd_discrete(ns: argparse.Namespace) -> dict:
+    text = _input_text(ns, "probs")
+    if ns.renormalize:
+        dist = renormalize(probs_from_json(text), tolerance=ns.tolerance)
     else:
-        dist = discrete_from_json(text, tolerance=tol)
-    return entropy.shannon_entropy(dist, spec.resolved_k()).to_json_obj()
+        dist = discrete_from_json(text, tolerance=ns.tolerance)
+    return entropy.shannon_entropy(dist, _k(ns)).to_json_obj()
 
 
-def _cmd_total(spec: CommandSpec) -> dict:
-    binned = binned_from_json(spec.input_text(), tolerance=spec.options["tolerance"])
-    return entropy.total_entropy(binned, spec.resolved_k()).to_json_obj()
+def _cmd_total(ns: argparse.Namespace) -> dict:
+    binned = binned_from_json(_input_text(ns, "data"), tolerance=ns.tolerance)
+    return entropy.total_entropy(binned, _k(ns)).to_json_obj()
 
 
-def _cmd_differential(spec: CommandSpec) -> dict:
-    density = density_from_json(spec.input_text())
-    return quantize.differential_entropy(density, spec.resolved_k()).to_json_obj()
+def _cmd_differential(ns: argparse.Namespace) -> dict:
+    density = density_from_json(_input_text(ns, "density"))
+    return quantize.differential_entropy(density, _k(ns)).to_json_obj()
 
 
-def _cmd_modified(spec: CommandSpec) -> dict:
-    density = density_from_json(spec.input_text())
-    return statmech.modified_differential_entropy(
-        density, spec.options["h"], spec.resolved_k()
-    ).to_json_obj()
+def _cmd_modified(ns: argparse.Namespace) -> dict:
+    density = density_from_json(_input_text(ns, "density"))
+    return statmech.modified_differential_entropy(density, ns.h, _k(ns)).to_json_obj()
 
 
-def _cmd_quantize(spec: CommandSpec) -> dict:
-    density = density_from_json(spec.input_text())
-    return quantize.quantize_density(density, spec.options["h"]).to_json_obj()
+def _cmd_quantize(ns: argparse.Namespace) -> dict:
+    density = density_from_json(_input_text(ns, "density"))
+    return quantize.quantize_density(density, ns.h).to_json_obj()
 
 
-def _cmd_converge(spec: CommandSpec) -> dict | str:
-    density = density_from_json(spec.input_text())
-    halvings = spec.options["halvings"]
-    if halvings < 1:
+def _cmd_converge(ns: argparse.Namespace) -> dict | str:
+    density = density_from_json(_input_text(ns, "density"))
+    if ns.halvings < 1:
         raise ValidationError("--halvings must be >= 1")
-    h_values = [spec.options["h_start"] * 2.0**-j for j in range(halvings)]
-    rows = quantize.convergence_sweep(density, h_values, spec.resolved_k())
-    if spec.output_format == "csv":
+    h_values = [ns.h_start * 2.0**-j for j in range(ns.halvings)]
+    rows = quantize.convergence_sweep(density, h_values, _k(ns))
+    if ns.format == "csv":
         return quantize.convergence_csv(rows)
     return {"rows": [asdict(r) for r in rows]}
 
 
-def _cmd_axioms(spec: CommandSpec) -> dict:
+def _cmd_axioms(ns: argparse.Namespace) -> dict:
     report = entropy.run_axiom_suite(
-        seed=spec.seed,
-        n_distributions=spec.options["n_dists"],
-        max_n=spec.options["max_n"],
-        additivity_pairs=spec.options["additivity_pairs"],
-        majorization_pairs=spec.options["majorization_pairs"],
-        k=spec.resolved_k(),
+        seed=ns.seed,
+        n_distributions=ns.n_dists,
+        max_n=ns.max_n,
+        additivity_pairs=ns.additivity_pairs,
+        majorization_pairs=ns.majorization_pairs,
+        k=_k(ns),
     )
     return report.to_json_obj()
 
@@ -258,29 +217,25 @@ def _parse_phi_csv(text: str) -> functional_eq.PhiPrimeSamples:
     return functional_eq.PhiPrimeSamples(tuple(rows))
 
 
-def _cmd_fit_phi(spec: CommandSpec) -> dict:
-    samples = _parse_phi_csv(spec.input_text())
+def _cmd_fit_phi(ns: argparse.Namespace) -> dict:
+    # --data is raw CSV text, never a path
+    samples = _parse_phi_csv(ns.data if ns.data is not None else _input_text(ns, "data"))
     return functional_eq.fit_log_affine(samples).to_json_obj()
 
 
-def _shell_spec(spec: CommandSpec) -> statmech.ShellSpec:
-    o = spec.options
-    return statmech.ShellSpec(
-        E=o["E"],
-        dE=o["dE"],
-        V=o["V"],
-        N=o["N"],
-        m=o["mass"],
-        planck_h=o["planck_h"],
-        indistinguishable=o["indistinguishable"],
+def _cmd_statmech(ns: argparse.Namespace) -> dict:
+    shell = statmech.ShellSpec(
+        E=ns.E,
+        dE=ns.dE,
+        V=ns.V,
+        N=ns.N,
+        m=ns.mass,
+        planck_h=ns.planck_h,
+        indistinguishable=ns.indistinguishable,
     )
-
-
-def _cmd_statmech(spec: CommandSpec) -> dict:
-    shell = _shell_spec(spec)
-    k = spec.resolved_k()
-    if spec.options["action"] == "compare":
-        ln_omega = spec.options["ln_omega"]
+    k = _k(ns)
+    if ns.action == "compare":
+        ln_omega = ns.ln_omega
         if ln_omega is None:
             ln_omega = statmech.log_phase_shell_volume(shell)
         return statmech.compare_entropy_forms(ln_omega, shell.planck_h, shell.N, k).to_json_obj()
@@ -314,10 +269,10 @@ def _emit(payload: dict | str) -> None:
         sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
-def run(spec: CommandSpec) -> int:
+def run(ns: argparse.Namespace) -> int:
     """Execute a parsed command; always leaves a JSON/CSV body on stdout."""
     try:
-        payload = _HANDLERS[spec.subcommand](spec)
+        payload = _HANDLERS[ns.subcommand](ns)
     except FileNotFoundError as e:
         _emit({"error": {"kind": "FileNotFound", "message": str(e)}})
         print(f"entrokit: {e}", file=sys.stderr)
@@ -336,11 +291,11 @@ def run(spec: CommandSpec) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        spec = parse_args(sys.argv[1:] if argv is None else list(argv))
+        ns = parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else EXIT_USAGE
-    return run(spec)
+    return run(ns)
 
 
 if __name__ == "__main__":

@@ -36,14 +36,17 @@ SQRT2 = math.sqrt(2.0)
 HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def check_k(k: float, name: str = "k") -> float:
-    """The unit constant k of every entropy: a positive finite real."""
-    if not (k > 0 and math.isfinite(k)):
-        raise ValidationError(f"{name} must be a positive finite real, got {k}")
-    return k
+def check_positive(
+    x: float, name: str, error: type[ValidationError] = ValidationError
+) -> float:
+    """The one check for every width, scale and unit constant: positive, finite."""
+    if not (x > 0 and math.isfinite(x)):
+        raise error(f"{name} must be a positive finite real, got {x}")
+    return x
 
 
-def _as_float_vector(x, name: str) -> np.ndarray:
+def float_vector(x, name: str) -> np.ndarray:
+    """The one check for every stored vector: non-empty, 1-D and finite."""
     # always a fresh array: carriers freeze their storage, which must never
     # reach back into caller-owned buffers
     arr = np.array(x, dtype=float, copy=True)
@@ -68,7 +71,7 @@ class DiscreteDistribution:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
-        probs = _as_float_vector(self.probs, "probs")
+        probs = float_vector(self.probs, "probs")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         if not (0 < self.tolerance < 1):
@@ -101,8 +104,8 @@ class BinnedVariable:
     widths: np.ndarray
 
     def __post_init__(self) -> None:
-        values = _as_float_vector(self.values, "values")
-        widths = _as_float_vector(self.widths, "widths")
+        values = float_vector(self.values, "values")
+        widths = float_vector(self.widths, "widths")
         n = self.dist.n
         if values.size != n or widths.size != n:
             raise ValidationError(
@@ -151,16 +154,24 @@ class DensitySpec:
     def __post_init__(self) -> None:
         family = DensityFamily(self.family)
         object.__setattr__(self, "family", family)
-        params = {k: float(v) for k, v in self.params.items()}
+        try:
+            params = {k: float(v) for k, v in self.params.items()}
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"density parameters must be reals, got {self.params}") from None
         object.__setattr__(self, "params", params)
-        lo, hi = self._validate_params(family, params)
-        if math.isnan(self.support[0]):
-            object.__setattr__(self, "support", (lo, hi))
-        else:
-            s_lo, s_hi = float(self.support[0]), float(self.support[1])
-            if not (math.isfinite(s_lo) and math.isfinite(s_hi) and s_lo < s_hi):
-                raise ValidationError(f"support must be a finite interval, got {self.support}")
-            object.__setattr__(self, "support", (s_lo, s_hi))
+        # the implied support is checked even when a declared one replaces
+        # it: a non-finite mu, a or b, or a mean so large that the truncated
+        # support collapses to a point, shows up there
+        supports = [("implied", self._natural_support(family, params))]
+        if not math.isnan(self.support[0]):
+            supports.append(("declared", (float(self.support[0]), float(self.support[1]))))
+        for what, (lo, hi) in supports:
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise ValidationError(
+                    f"{what} support of {family.value} {params} must be a finite "
+                    f"interval lo < hi, got ({lo}, {hi})"
+                )
+        object.__setattr__(self, "support", supports[-1][1])
         captured = self.mass(*self.support)
         if captured < 1.0 - 1e-9:
             raise UnboundedSupport(
@@ -168,24 +179,18 @@ class DensitySpec:
             )
 
     @staticmethod
-    def _validate_params(family: DensityFamily, params: dict[str, float]) -> tuple[float, float]:
+    def _natural_support(family: DensityFamily, params: dict[str, float]) -> tuple[float, float]:
         eps = TRUNCATION_EPS
         if family is DensityFamily.UNIFORM:
             _require_keys(params, ("a", "b"))
-            if not params["a"] < params["b"]:
-                raise ValidationError("uniform requires a < b")
             return params["a"], params["b"]
         if family is DensityFamily.GAUSSIAN:
             _require_keys(params, ("mu", "sigma"))
-            if params["sigma"] <= 0:
-                raise ValidationError("gaussian requires sigma > 0")
-            mu, sigma = params["mu"], params["sigma"]
+            mu, sigma = params["mu"], check_positive(params["sigma"], "sigma")
             half = -NormalDist().inv_cdf(eps / 2.0) * sigma
             return mu - half, mu + half
         _require_keys(params, ("rate",))
-        if params["rate"] <= 0:
-            raise ValidationError("exponential requires rate > 0")
-        return 0.0, -math.log(eps / 2.0) / params["rate"]
+        return 0.0, -math.log(eps / 2.0) / check_positive(params["rate"], "rate")
 
     # -- pointwise evaluation --------------------------------------------
 
@@ -311,7 +316,9 @@ class EntropyValue:
     unit: EntropyUnit
 
     def __post_init__(self) -> None:
-        check_k(self.k)
+        check_positive(self.k, "k")
+        if not math.isfinite(self.value):
+            raise ValidationError(f"entropy value must be finite, got {self.value}")
         unit = EntropyUnit(self.unit)
         object.__setattr__(self, "unit", unit)
         if unit is EntropyUnit.NATS and abs(self.k - 1.0) > 1e-12:
@@ -358,7 +365,7 @@ def validate_distribution(
 
 def renormalize(probs, tolerance: float = DEFAULT_TOLERANCE) -> DiscreteDistribution:
     """Explicitly rescale nonnegative weights by their sum."""
-    arr = _as_float_vector(np.asarray(probs, dtype=float), "probs")
+    arr = float_vector(probs, "probs")
     if np.any(arr < 0):
         raise NegativeProbability(f"negative probability entry {float(arr.min())}")
     total = math.fsum(arr.tolist())
@@ -443,4 +450,4 @@ def density_from_json(text_or_obj) -> DensitySpec:
             f"unknown density family {family!r}; expected one of "
             f"{[f.value for f in DensityFamily]}"
         ) from None
-    return DensitySpec(fam, {k: float(v) for k, v in obj.items()})
+    return DensitySpec(fam, obj)

@@ -20,7 +20,7 @@ from .distributions import (
     BinnedVariable,
     DiscreteDistribution,
     EntropyValue,
-    check_k,
+    check_positive,
     product_distribution,
 )
 from .errors import PhiUndefined, ValidationError
@@ -35,7 +35,7 @@ def _neg_plogp_terms(probs: np.ndarray) -> list[float]:
 
 def shannon_entropy(p: DiscreteDistribution, k: float = 1.0) -> EntropyValue:
     """-k * sum(p_i ln p_i), with zero entries contributing exactly 0."""
-    check_k(k)
+    check_positive(k, "k")
     value = k * math.fsum(_neg_plogp_terms(p.probs))
     return EntropyValue.from_k(value, k)
 
@@ -90,7 +90,7 @@ def phi_entropy(p: DiscreteDistribution, phi: PhiFunction) -> float:
 def total_entropy(v: BinnedVariable, k: float = 1.0) -> EntropyValue:
     """-k * sum(p_i ln(p_i / h_i)): Shannon entropy plus the expected
     post-observational uncertainty k ln h_i per interval."""
-    check_k(k)
+    check_positive(k, "k")
     p = v.probs
     h = v.widths
     mask = p > 0
@@ -227,7 +227,7 @@ def run_axiom_suite(
     The corpus is drawn in same-length pairs so each pair feeds both the
     concavity mixture test and the per-distribution checks.
     """
-    check_k(k)
+    check_positive(k, "k")
     rng = np.random.default_rng(seed)
 
     min_entropy = math.inf

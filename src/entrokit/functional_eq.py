@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .distributions import float_vector
 from .entropy import PhiFunction
 from .errors import DegenerateDesign, EvaluationFailure, NotAdmissible, ValidationError
 
@@ -26,10 +27,8 @@ DEFAULT_GRID: tuple[float, ...] = tuple(np.geomspace(1e-3, 1.0, 32).tolist())
 
 
 def _checked_grid(grid: Sequence[float], name: str) -> np.ndarray:
-    arr = np.asarray(list(grid), dtype=float)
-    if arr.size == 0:
-        raise ValidationError(f"{name} must be non-empty")
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr > 1.0):
+    arr = float_vector(grid, name)
+    if np.any(arr <= 0.0) or np.any(arr > 1.0):
         raise ValidationError(f"{name} must lie in (0, 1]")
     return arr
 

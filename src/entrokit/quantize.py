@@ -26,13 +26,16 @@ from .distributions import (
     DensitySpec,
     DiscreteDistribution,
     EntropyValue,
-    check_k,
+    check_positive,
 )
 from .entropy import total_entropy
 from .errors import NonPositiveWidth, UnboundedSupport, ValidationError
 
 #: normalization slack allowed for quantized distributions
 QUANTIZED_TOL = 1e-8
+
+#: most bins one grid may hold (32 MiB per float array), checked before allocation
+MAX_BINS = 2**22
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,7 @@ class QuantizationResult:
     mass_deficit: float
 
     def __post_init__(self) -> None:
-        if self.h <= 0:
-            raise NonPositiveWidth(f"h must be > 0, got {self.h}")
+        check_positive(self.h, "h", NonPositiveWidth)
         widths = self.binned.widths
         if np.any(widths != self.h):
             raise ValidationError("all bin widths must equal h")
@@ -78,8 +80,11 @@ class ConvergenceRow:
 
 def _grid(f: DensitySpec, h: float) -> tuple[float, int]:
     """Left edge and bin count of the width-h grid covering the truncated
-    support, per the anchoring rule above."""
+    support, per the anchoring rule above.  A grid of more than MAX_BINS
+    bins is refused before any of it is computed."""
     lo, hi = f.support
+    if (hi - lo) / h > MAX_BINS:
+        raise ValidationError(f"h = {h} cuts the support into more than {MAX_BINS} bins")
     jumps = f.discontinuities()
     if jumps:
         # anchor at the first jump; it coincides with the truncated left
@@ -97,12 +102,12 @@ def quantize_density(f: DensitySpec, h: float) -> QuantizationResult:
     """Cut the truncated support into width-h bins and take the density's
     mass in each; representative points are the bin midpoints.
 
-    The deficit is measured separately from the bin masses, from the CDF
-    outside the grid, so the conservation invariant (masses + deficit = 1)
-    checks the tail-aware bin masses rather than restating them.
+    The deficit is measured separately from the bin masses: it is the mass
+    of the two unbounded tails beyond the grid's outer edges, each taken on
+    its own small side by bin_masses, so the conservation invariant
+    (masses + deficit = 1) checks the bin masses rather than restating them.
     """
-    if h <= 0 or not math.isfinite(h):
-        raise NonPositiveWidth(f"h must be a positive real, got {h}")
+    check_positive(h, "h", NonPositiveWidth)
     lo, hi = f.support
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UnboundedSupport(f"support {f.support} is not finite")
@@ -112,7 +117,8 @@ def quantize_density(f: DensitySpec, h: float) -> QuantizationResult:
     edges = x0 + h * np.arange(n + 1)
     probs = np.maximum(f.bin_masses(edges), 0.0)
     mids = x0 + h * (np.arange(n) + 0.5)
-    deficit = max(0.0, f.cdf(float(edges[0])) + (1.0 - f.cdf(float(edges[-1]))))
+    tails = f.bin_masses(np.array([-math.inf, edges[0], edges[-1], math.inf]))
+    deficit = max(0.0, float(tails[0] + tails[2]))
     binned = BinnedVariable(
         values=mids,
         dist=DiscreteDistribution(probs, tolerance=QUANTIZED_TOL),
@@ -128,7 +134,7 @@ def differential_entropy(f: DensitySpec, k: float = 1.0) -> EntropyValue:
     convention.  Can be negative (densities above 1 contribute negative
     uncertainty); nothing here enforces a sign.
     """
-    check_k(k)
+    check_positive(k, "k")
     value, _ = f.entropy_integral()
     return EntropyValue.from_k(k * value, k)
 
@@ -136,7 +142,7 @@ def differential_entropy(f: DensitySpec, k: float = 1.0) -> EntropyValue:
 def total_entropy_from_density(f: DensitySpec, h: float, k: float = 1.0) -> EntropyValue:
     """Quantize at width h, then apply the total-entropy formula with the
     uniform widths: -k * sum(p_i ln(p_i / h))."""
-    check_k(k)
+    check_positive(k, "k")
     return total_entropy(quantize_density(f, h).binned, k)
 
 
@@ -146,12 +152,12 @@ def convergence_sweep(
     """One row per width: total entropy at h against the differential
     entropy, in the given order.  The limit h -> 0 closes the gap; the rate
     is not asserted here, only measured."""
-    check_k(k)
-    hs = [float(h) for h in h_values]
-    if any(h <= 0 for h in hs):
-        raise NonPositiveWidth("all h values must be > 0")
+    check_positive(k, "k")
+    hs = [check_positive(float(h), "h", NonPositiveWidth) for h in h_values]
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValidationError("h values must be strictly decreasing")
+    if hs:
+        _grid(f, hs[-1])  # the finest grid must fit before any bin is computed
     hc = differential_entropy(f, k).value
     rows = []
     for h in hs:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DensitySpec, EntropyValue, check_k
-from .errors import InvalidDensity, ValidationError
+from .distributions import DensitySpec, EntropyValue, check_positive, float_vector
+from .errors import InvalidDensity, NonPositiveWidth, ValidationError
 
 MAXENT_SLACK = 1e-12
 
@@ -36,9 +36,8 @@ def modified_differential_entropy(f: DensitySpec, h: float, k: float = 1.0) -> E
 
     In closed form, H - M ln h, where H is the plain differential entropy
     and M the mass of the truncated support."""
-    check_k(k)
-    if h <= 0 or not math.isfinite(h):
-        raise ValidationError(f"h must be a positive real, got {h}")
+    check_positive(k, "k")
+    check_positive(h, "h", NonPositiveWidth)
     value, mass = f.entropy_integral()
     return EntropyValue.from_k(k * (value - mass * math.log(h)), k)
 
@@ -58,9 +57,7 @@ class ShellSpec:
 
     def __post_init__(self) -> None:
         for name in ("E", "dE", "V", "m", "planck_h"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValidationError(f"{name} must be a positive finite real, got {v}")
+            check_positive(getattr(self, name), name)
         if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
             raise ValidationError(f"N must be an integer >= 1, got {self.N!r}")
         object.__setattr__(self, "N", int(self.N))
@@ -75,9 +72,7 @@ class ShellSpec:
 
 def log_phase_ball_volume(spec: ShellSpec, energy: float | None = None) -> float:
     """ln Phi(E): log phase-space volume below the given energy."""
-    e = spec.E if energy is None else energy
-    if e <= 0:
-        raise ValidationError(f"energy must be > 0, got {e}")
+    e = spec.E if energy is None else check_positive(energy, "energy")
     n = spec.N
     return (
         n * math.log(spec.V)
@@ -104,7 +99,7 @@ def log_phase_shell_volume(spec: ShellSpec) -> float:
 
 def boltzmann_entropy(spec: ShellSpec, k: float = 1.0) -> EntropyValue:
     """S = k ln(Omega / C^N), with ln N! via lnGamma(N + 1)."""
-    check_k(k)
+    check_positive(k, "k")
     s = log_phase_shell_volume(spec) - 3.0 * spec.N * math.log(spec.planck_h)
     if spec.indistinguishable:
         s -= math.lgamma(spec.N + 1.0)
@@ -119,7 +114,7 @@ def sackur_tetrode_entropy(spec: ShellSpec, k: float = 1.0) -> EntropyValue:
     i.e. the Stirling-approximated large-N limit of boltzmann_entropy.
     Serves as the independent cross-check the CLI reports alongside the
     shell-volume path."""
-    check_k(k)
+    check_positive(k, "k")
     n = spec.N
     arg = (spec.V / n) * (
         4.0 * math.pi * spec.m * spec.E / (3.0 * n * spec.planck_h**2)
@@ -140,14 +135,14 @@ class DiscretizedShellDensity:
     densities: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.array(self.cell_volumes, dtype=float, copy=True)
-        f = np.array(self.densities, dtype=float, copy=True)
-        if w.ndim != 1 or w.size == 0 or w.shape != f.shape:
-            raise ValidationError("cell_volumes and densities must be equal-length 1-D")
-        if np.any(~np.isfinite(w)) or np.any(w <= 0):
-            raise ValidationError("cell volumes must be positive and finite")
-        if np.any(~np.isfinite(f)) or np.any(f < 0):
-            raise InvalidDensity("densities must be nonnegative and finite")
+        w = float_vector(self.cell_volumes, "cell_volumes")
+        f = float_vector(self.densities, "densities")
+        if w.size != f.size:
+            raise ValidationError(f"{w.size} cell volumes but {f.size} densities")
+        if np.any(w <= 0):
+            raise ValidationError("cell volumes must be positive")
+        if np.any(f < 0):
+            raise InvalidDensity("densities must be nonnegative")
         total = math.fsum((w * f).tolist())
         if abs(total - 1.0) > 1e-9:
             raise InvalidDensity(f"sum(w_i f_i) = {total}, off by {total - 1.0:+.3e}")
@@ -165,9 +160,8 @@ class DiscretizedShellDensity:
 
 def shell_entropy(d: DiscretizedShellDensity, C: float, k: float = 1.0) -> float:
     """Discretized S = -k sum(w_i f_i ln(C f_i)); empty cells contribute 0."""
-    check_k(k)
-    if not (C > 0 and math.isfinite(C)):
-        raise ValidationError(f"C must be a positive finite real, got {C}")
+    check_positive(k, "k")
+    check_positive(C, "C")
     w = d.cell_volumes
     f = d.densities
     mask = f > 0
@@ -252,9 +246,8 @@ def compare_entropy_forms(
     ln_omega: float, planck_h: float, N: int, k: float = 1.0
 ) -> EntropyFormComparison:
     """Evaluate both expressions from a known log shell volume."""
-    check_k(k)
-    if not (planck_h > 0 and math.isfinite(planck_h)):
-        raise ValidationError(f"planck_h must be a positive finite real, got {planck_h}")
+    check_positive(k, "k")
+    check_positive(planck_h, "planck_h")
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
     log_cell = 3.0 * N * math.log(planck_h)

@@ -22,27 +22,47 @@ def invoke(argv):
 GAUSSIAN = '{"family":"gaussian","mu":0,"sigma":1}'
 
 
+def strict_json(text):
+    """RFC 8259 JSON only: NaN and Infinity are rejected."""
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant} in output")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestParseArgs:
-    def test_inline_discrete_bits(self):
-        spec = cli.parse_args(["discrete", "--probs", "[0.5,0.5]", "--unit", "bits"])
-        assert spec.subcommand == "discrete"
-        assert spec.inline == "[0.5,0.5]"
-        assert spec.path is None
-        assert spec.unit == "bits"
-        assert spec.output_format == "json"
+    def test_inline_discrete_bits(self, tmp_path):
+        # --probs takes inline JSON or a file path; --input always a path
+        f = tmp_path / "coin.json"
+        f.write_text("[0.5,0.5]")
+        expected = (0, '{"value":1.0,"unit":"bits"}\n')
+        for source in (["--probs", "[0.5,0.5]"], ["--probs", str(f)], ["--input", str(f)]):
+            assert invoke(["discrete", *source, "--unit", "bits"])[:2] == expected
 
     def test_density_flag_accepts_a_path(self, tmp_path):
         f = tmp_path / "gaussian.json"
         f.write_text(GAUSSIAN)
-        spec = cli.parse_args(
-            ["converge", "--density", str(f), "--h-start", "0.5", "--halvings", "6",
-             "--format", "csv"]
-        )
-        assert spec.inline is None
-        assert spec.path == str(f)
-        assert spec.options["h_start"] == 0.5
-        assert spec.options["halvings"] == 6
-        assert spec.output_format == "csv"
+        opts = ["--h-start", "0.5", "--halvings", "6", "--format", "csv"]
+        code, inline, _ = invoke(["converge", "--density", GAUSSIAN, *opts])
+        assert code == 0
+        lines = inline.splitlines()
+        assert len(lines) == 7 and lines[1].startswith("0.5,")
+        assert invoke(["converge", "--density", str(f), *opts])[:2] == (0, inline)
+        assert invoke(["converge", "--input", str(f), *opts])[:2] == (0, inline)
+        assert invoke(["converge", "--density", GAUSSIAN, "--input", str(f), *opts])[0] == 2
+
+    def test_fit_phi_data_is_always_inline_csv(self, tmp_path):
+        rows = "0.1,2.0\n0.2,1.3\n0.5,0.4\n0.9,-0.2"
+        f = tmp_path / "phi.csv"
+        f.write_text(rows)
+        code, out, _ = invoke(["fit-phi", "--data", rows])
+        assert code == 0
+        assert invoke(["fit-phi", "--input", str(f)])[:2] == (0, out)
+        # a --data value naming a file is still read as CSV text, not opened
+        code, out, _ = invoke(["fit-phi", "--data", str(f)])
+        assert code == 65
+        assert "expected 'p,phi_prime'" in json.loads(out)["error"]["message"]
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -198,6 +218,30 @@ class TestRunOutputs:
         assert json.loads(out)["passed"] is True
 
 
+def density(params):
+    return ["differential", "--density", "{" + params + "}"]
+
+
+#: bad data that once printed NaN or Infinity, or crashed: each must exit 65
+BAD_VALUES = {
+    "sigma-nan": density('"family":"gaussian","mu":0,"sigma":NaN'),
+    "sigma-inf": density('"family":"gaussian","mu":0,"sigma":Infinity'),
+    "mu-nan": density('"family":"gaussian","mu":NaN,"sigma":1'),
+    "mu-minus-inf": density('"family":"gaussian","mu":-Infinity,"sigma":1'),
+    "mu-1e300": density('"family":"gaussian","mu":1e300,"sigma":1'),
+    "mu-string": density('"family":"gaussian","mu":"0","sigma":"one"'),
+    "a-nan": density('"family":"uniform","a":NaN,"b":1'),
+    "a-minus-inf": density('"family":"uniform","a":-Infinity,"b":1'),
+    "rate-nan": density('"family":"exponential","rate":NaN'),
+    "rate-inf": density('"family":"exponential","rate":Infinity'),
+    "k-1e308": ["discrete", "--probs", json.dumps([0.125] * 8), "--k", "1e308"],
+    "quantize-h-1e-300": ["quantize", "--density", GAUSSIAN, "--h", "1e-300"],
+    "converge-40-halvings": [
+        "converge", "--density", GAUSSIAN, "--h-start", "0.5", "--halvings", "40"
+    ],
+}
+
+
 class TestExitCodes:
     def test_domain_error_is_65_with_envelope(self):
         code, out, err = invoke(["discrete", "--probs", "[0.6,0.5]"])
@@ -217,6 +261,23 @@ class TestExitCodes:
         code, out, _ = invoke(["discrete", "--probs", "[0.5,0.5]", "--k", k])
         assert code == 65
         assert json.loads(out)["error"]["kind"] == "ValidationError"
+
+    @pytest.mark.parametrize("argv", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+    def test_bad_values_are_65_with_strict_json(self, argv):
+        code, out, _ = invoke(argv)
+        body = strict_json(out)
+        assert code == 65
+        assert body["error"]["kind"] == "ValidationError"
+        assert body["error"]["message"]
+
+    def test_bad_width_is_the_same_kind_everywhere(self):
+        for cmd in ("modified", "quantize"):
+            code, out, _ = invoke([cmd, "--density", GAUSSIAN, "--h", "0"])
+            assert code == 65
+            assert strict_json(out)["error"] == {
+                "kind": "NonPositiveWidth",
+                "message": "h must be a positive finite real, got 0.0",
+            }
 
     def test_usage_error_is_2(self):
         code, _, _ = invoke(["discrete", "--probs", "[0.5,0.5]", "--frobnicate"])

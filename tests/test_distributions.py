@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from entrokit import (
     BinnedVariable,
@@ -11,12 +12,14 @@ from entrokit import (
     DiscreteDistribution,
     EntropyUnit,
     EntropyValue,
+    EntrokitError,
     NegativeProbability,
     NotNormalized,
     UnboundedSupport,
     ValidationError,
     binned_from_json,
     density_from_json,
+    differential_entropy,
     discrete_from_json,
     product_distribution,
     renormalize,
@@ -180,6 +183,38 @@ class TestDensitySpec:
             density_from_json('{"family": "gaussian", "mu": 0}')
 
 
+    @pytest.mark.parametrize("mu", [1e300, -1e17])
+    def test_collapsed_support_is_named(self, mu):
+        # mu -/+ 7.4 sigma rounds back to mu: no interval is left to hold mass
+        with pytest.raises(ValidationError, match="implied support"):
+            DensitySpec.gaussian(mu, 1.0)
+
+    def test_support_wider_than_a_float_is_rejected(self):
+        with pytest.raises(ValidationError, match="finite interval"):
+            DensitySpec.uniform(-1e308, 1e308)
+
+    def test_non_numeric_params_are_validation_errors(self):
+        with pytest.raises(ValidationError, match="reals"):
+            density_from_json('{"family": "gaussian", "mu": "zero", "sigma": 1}')
+        with pytest.raises(ValidationError, match="reals"):
+            density_from_json('{"family": "exponential", "rate": [1]}')
+
+    @given(
+        st.one_of(
+            st.builds(lambda a, b: ("uniform", {"a": a, "b": b}), st.floats(), st.floats()),
+            st.builds(lambda m, s: ("gaussian", {"mu": m, "sigma": s}), st.floats(), st.floats()),
+            st.builds(lambda r: ("exponential", {"rate": r}), st.floats()),
+        )
+    )
+    def test_any_float_params_give_an_error_or_a_finite_entropy(self, family_params):
+        family, params = family_params
+        try:
+            f = DensitySpec(family, params)
+        except EntrokitError:
+            return
+        assert math.isfinite(differential_entropy(f).value)
+
+
 class TestEntropyValue:
     def test_unit_from_k(self):
         assert EntropyValue.from_k(1.0, 1.0).unit is EntropyUnit.NATS
@@ -191,6 +226,11 @@ class TestEntropyValue:
             EntropyValue(1.0, 2.0, EntropyUnit.NATS)
         with pytest.raises(ValidationError):
             EntropyValue(1.0, 1.0, EntropyUnit.BITS)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValidationError, match="finite"):
+            EntropyValue.from_k(value, 1.0)
 
     def test_json_shape(self):
         assert EntropyValue.from_k(0.25, 1.0).to_json_obj() == {

@@ -17,6 +17,8 @@ from entrokit import (
     total_entropy_from_density,
 )
 
+from entrokit import quantize
+
 from conftest import oracle_entropy_integral
 
 GAUSS_HC = 0.5 * math.log(2.0 * math.pi * math.e)
@@ -102,6 +104,39 @@ class TestQuantizeDensity:
             x, m = float(r.binned.values[i]), float(r.binned.probs[i])
             ref = oracle_bin_mass(f, x - h / 2, x + h / 2)
             assert abs(m - ref) <= 1e-11 * ref, (i, m, ref)
+
+    @pytest.mark.parametrize("f", [DensitySpec.gaussian(0.0, 1.0), DensitySpec.exponential(1.0)])
+    @pytest.mark.parametrize("h", [0.5, 1 / 64, 1 / 1024])
+    def test_mass_deficit_matches_high_precision_oracle(self, f, h):
+        # the two tails beyond the outer edges at 50 digits; a right tail
+        # taken as 1 - cdf cancels against 1 and misses this by up to 0.5%
+        r = quantize_density(f, h)
+        lo = float(r.binned.values[0]) - h / 2.0
+        hi = float(r.binned.values[-1]) + h / 2.0
+        left = oracle_bin_mass(f, -math.inf, lo) if f.family is DensityFamily.GAUSSIAN else 0.0
+        ref = left + oracle_bin_mass(f, hi, math.inf)
+        assert abs(r.mass_deficit - ref) <= 1e-12 * ref, (r.mass_deficit, ref)
+
+    @pytest.mark.parametrize(
+        "f, h",
+        [
+            (DensitySpec.gaussian(0.0, 1.0), 1e-300),
+            (DensitySpec.gaussian(0.0, 1.0), 5e-324),
+            (DensitySpec.uniform(0.0, 1.0), 2.0**-23),
+        ],
+    )
+    def test_grid_beyond_max_bins_is_refused(self, f, h):
+        with pytest.raises(ValidationError, match="bins"):
+            quantize_density(f, h)
+
+    def test_sweep_refuses_its_finest_grid_before_quantizing(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("quantized before the grid bound was checked")
+
+        monkeypatch.setattr(quantize, "quantize_density", never)
+        hs = [0.5 * 2.0**-j for j in range(40)]
+        with pytest.raises(ValidationError, match="bins"):
+            convergence_sweep(DensitySpec.gaussian(0.0, 1.0), hs)
 
     def test_point_mass_gaussian_is_one_bin(self):
         r = quantize_density(DensitySpec.gaussian(0.0, 1e-300), 1.0)

@@ -9,6 +9,7 @@ from entrokit import (
     DensitySpec,
     DiscretizedShellDensity,
     InvalidDensity,
+    NonPositiveWidth,
     ShellSpec,
     ValidationError,
     boltzmann_entropy,
@@ -76,6 +77,12 @@ class TestModifiedDifferentialEntropy:
     def test_rejects_bad_width(self):
         with pytest.raises(ValidationError):
             modified_differential_entropy(DensitySpec.uniform(0.0, 1.0), 0.0)
+
+
+    def test_bad_width_is_non_positive_width(self):
+        # the kind quantize_density reports for the same h
+        with pytest.raises(NonPositiveWidth, match="positive finite"):
+            modified_differential_entropy(DensitySpec.uniform(0.0, 1.0), math.nan)
 
 
 class TestShellSpec:
@@ -186,6 +193,31 @@ class TestMaxentShellCheck:
     def test_bad_normalization_rejected(self):
         with pytest.raises(InvalidDensity):
             DiscretizedShellDensity(np.full(4, 1.0), np.full(4, 0.3))
+
+    @pytest.mark.parametrize(
+        "w, f",
+        [
+            ([1.0, math.inf], [0.5, 0.0]),
+            ([1.0, 1.0], [0.5, math.nan]),
+            ([[1.0, 1.0]], [[0.5, 0.5]]),
+            ([], []),
+            ([1.0, 1.0], [1.0]),
+        ],
+    )
+    def test_malformed_cells_rejected(self, w, f):
+        with pytest.raises(ValidationError):
+            DiscretizedShellDensity(np.array(w), np.array(f))
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_scalar_constants_must_be_positive_finite(self, bad):
+        d = DiscretizedShellDensity.uniform(np.full(4, 1.0))
+        spec = ShellSpec(E=1.0, dE=0.01, V=1.0, N=1)
+        with pytest.raises(ValidationError, match="C must be a positive finite real"):
+            shell_entropy(d, bad)
+        with pytest.raises(ValidationError, match="planck_h must be a positive finite real"):
+            compare_entropy_forms(1.0, bad, 1)
+        with pytest.raises(ValidationError, match="energy must be a positive finite real"):
+            log_phase_ball_volume(spec, bad)
 
     @given(st.floats(0.01, 100.0), st.floats(0.01, 100.0))
     @settings(max_examples=50)
