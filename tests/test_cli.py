@@ -222,14 +222,15 @@ def density(params):
     return ["differential", "--density", "{" + params + "}"]
 
 
-#: bad data that once printed NaN or Infinity, or crashed: each must exit 65
+#: bad data: non-finite or non-numeric parameters, results that overflow,
+#: grids too fine to allocate; each must exit 65 with strict-JSON stdout
 BAD_VALUES = {
     "sigma-nan": density('"family":"gaussian","mu":0,"sigma":NaN'),
     "sigma-inf": density('"family":"gaussian","mu":0,"sigma":Infinity'),
     "mu-nan": density('"family":"gaussian","mu":NaN,"sigma":1'),
     "mu-minus-inf": density('"family":"gaussian","mu":-Infinity,"sigma":1'),
     "mu-1e300": density('"family":"gaussian","mu":1e300,"sigma":1'),
-    "mu-string": density('"family":"gaussian","mu":"0","sigma":"one"'),
+    "param-string": density('"family":"gaussian","mu":"0","sigma":"one"'),
     "a-nan": density('"family":"uniform","a":NaN,"b":1'),
     "a-minus-inf": density('"family":"uniform","a":-Infinity,"b":1'),
     "rate-nan": density('"family":"exponential","rate":NaN'),
