@@ -262,17 +262,22 @@ _HANDLERS = {
 }
 
 
-def _emit(payload: dict | str) -> None:
+def _serialize(payload: dict | str) -> str:
+    """CSV text as it is; JSON strictly per RFC 8259, so a non-finite
+    float raises instead of printing NaN or Infinity."""
     if isinstance(payload, str):
-        sys.stdout.write(payload)
-    else:
-        sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        return payload
+    return json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def _emit(payload: dict | str) -> None:
+    sys.stdout.write(_serialize(payload))
 
 
 def run(ns: argparse.Namespace) -> int:
     """Execute a parsed command; always leaves a JSON/CSV body on stdout."""
     try:
-        payload = _HANDLERS[ns.subcommand](ns)
+        body = _serialize(_HANDLERS[ns.subcommand](ns))
     except FileNotFoundError as e:
         _emit({"error": {"kind": "FileNotFound", "message": str(e)}})
         print(f"entrokit: {e}", file=sys.stderr)
@@ -285,7 +290,7 @@ def run(ns: argparse.Namespace) -> int:
         _emit({"error": {"kind": "InternalError", "message": f"{type(e).__name__}: {e}"}})
         print(f"entrokit: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    _emit(payload)
+    sys.stdout.write(body)
     return EXIT_OK
 
 

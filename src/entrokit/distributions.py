@@ -30,6 +30,13 @@ DEFAULT_TOLERANCE = 1e-9
 # on quantized distributions.
 TRUNCATION_EPS = 1e-13
 
+# Most elements one batch block of ragged rows holds (a single larger row
+# makes a block of its own): enough for the per-block numpy calls to
+# amortize, few enough that a block's arrays and term lists stay small.
+BLOCK_ELEMENTS = 4096
+
+UNIT_ROUNDOFF = 2.0**-53
+
 LN2 = math.log(2.0)
 BITS_K = 1.0 / LN2
 SQRT2 = math.sqrt(2.0)
@@ -43,6 +50,13 @@ def check_positive(
     if not (x > 0 and math.isfinite(x)):
         raise error(f"{name} must be a positive finite real, got {x}")
     return x
+
+
+def check_count(x, name: str, least: int) -> int:
+    """The one check for every count: an integer no smaller than `least`."""
+    if not (isinstance(x, (int, np.integer)) and x >= least):
+        raise ValidationError(f"{name} must be an integer >= {least}, got {x!r}")
+    return int(x)
 
 
 def float_vector(x, name: str) -> np.ndarray:
@@ -374,17 +388,98 @@ def renormalize(probs, tolerance: float = DEFAULT_TOLERANCE) -> DiscreteDistribu
     return DiscreteDistribution(arr / total, tolerance=tolerance)
 
 
+def product_tolerance(tolerance, sizes):
+    """Tolerance of a joint distribution: the factors' tolerance scaled by
+    the factor sizes n + m, to absorb accumulated rounding, and capped at
+    0.5.  Takes scalars or arrays."""
+    return np.minimum(tolerance * sizes, 0.5)
+
+
 def product_distribution(
     p: DiscreteDistribution, q: DiscreteDistribution
 ) -> DiscreteDistribution:
     """Joint distribution of two independent experiments.
 
-    Entries are p_j * q_a in row-major order (j outer, a inner).  The
-    result's tolerance is scaled by (n + m) to absorb accumulated rounding.
+    Entries are p_j * q_a in row-major order (j outer, a inner).
     """
     joint = np.outer(p.probs, q.probs).ravel()
-    tol = max(p.tolerance, q.tolerance) * (p.n + q.n)
-    return DiscreteDistribution(joint, tolerance=min(tol, 0.5))
+    tol = product_tolerance(max(p.tolerance, q.tolerance), p.n + q.n)
+    return DiscreteDistribution(joint, tolerance=float(tol))
+
+
+# -- ragged row blocks ---------------------------------------------------------
+#
+# A block is one flat array holding rows end to end, with row i at
+# flat[offsets[i]:offsets[i + 1]].  Values that reach a report are exact
+# per-row fsums; pass/fail decisions take one np.sum pass and fall back to
+# fsum only for rows too close to the threshold to tell.
+
+
+def ragged(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The flat array and the offsets of a block of non-empty rows."""
+    offsets = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum([r.size for r in rows], out=offsets[1:])
+    return np.concatenate(rows), offsets
+
+
+def segment_fsums(flat: np.ndarray, offsets: np.ndarray) -> list[float]:
+    """math.fsum of every row: the exact sums that reports carry."""
+    xs, bounds = flat.tolist(), offsets.tolist()
+    return [math.fsum(xs[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def fsum_decides(flat: np.ndarray, offsets: np.ndarray, *predicates) -> np.ndarray:
+    """Whether every predicate holds at math.fsum(row), for every non-empty
+    row.  A predicate maps an array of row sums to bools and must be
+    monotone in each sum.
+
+    One np.sum pass gives each row sum s with |s - sum| <= g * sum|x_i|,
+    g = 2nu / (1 - 2nu) for n elements and u = 2^-53, in whatever order
+    np.sum adds (Higham, Accuracy and Stability, section 4; g is twice the
+    constant needed, which covers the rounding of the bound itself).  Each
+    predicate is taken at both ends of that interval, and only a row where
+    the ends disagree, because its sum lies within the band of a threshold,
+    is summed again by fsum.  So the answer is always fsum's."""
+    starts = offsets[:-1]
+    nu = np.diff(offsets) * UNIT_ROUNDOFF
+    sums = np.add.reduceat(flat, starts)
+    band = 2.0 * nu / (1.0 - 2.0 * nu) * np.add.reduceat(np.abs(flat), starts)
+    lo, hi = sums - band, sums + band
+    decided = np.ones(sums.size, dtype=bool)
+    unsure = ~np.isfinite(hi - lo)
+    for predicate in predicates:
+        at_lo = predicate(lo)
+        decided &= at_lo
+        unsure |= at_lo != predicate(hi)
+    unsure = np.flatnonzero(unsure)
+    if unsure.size:
+        exact = lo.copy()
+        exact[unsure] = [math.fsum(flat[offsets[i]:offsets[i + 1]].tolist()) for i in unsure]
+        decided[unsure] = np.logical_and.reduce([p(exact) for p in predicates])[unsure]
+    return decided
+
+
+def normalized_rows(flat: np.ndarray, offsets: np.ndarray, tolerance) -> np.ndarray:
+    """|fsum(row) - 1| <= tolerance for every row, as fsum decides it;
+    `tolerance` is a scalar or one per row."""
+    # |t - 1| <= tol is two tests, each monotone in t
+    return fsum_decides(
+        flat, offsets, lambda t: t - 1.0 <= tolerance, lambda t: 1.0 - t <= tolerance
+    )
+
+
+def check_probability_rows(flat: np.ndarray, offsets: np.ndarray, tolerance) -> None:
+    """The DiscreteDistribution checks on every row of a block at once:
+    finite, nonnegative and normalized, decided as the carrier decides.  The
+    first row that fails is built as a carrier, which raises its own error."""
+    good = np.isfinite(flat) & (flat >= 0)
+    ok = np.logical_and.reduceat(good, offsets[:-1]) & normalized_rows(
+        np.where(good, flat, 0.0), offsets, tolerance
+    )
+    if not ok.all():
+        i = int(np.argmin(ok))
+        tol = float(np.broadcast_to(tolerance, ok.shape)[i])
+        DiscreteDistribution(flat[offsets[i]:offsets[i + 1]], tolerance=tol)
 
 
 # -- JSON input parsing (shared wire formats) ---------------------------------

@@ -17,15 +17,37 @@ from typing import Callable
 import numpy as np
 
 from .distributions import (
+    BLOCK_ELEMENTS,
+    DEFAULT_TOLERANCE,
     BinnedVariable,
     DiscreteDistribution,
     EntropyValue,
+    check_count,
     check_positive,
+    check_probability_rows,
     product_distribution,
+    product_tolerance,
+    ragged,
+    segment_fsums,
 )
 from .errors import PhiUndefined, ValidationError
 
 MAJORIZATION_TOL = 1e-12
+# slack of the Pinsker test, 1/2 |p - u|_1^2 <= ln n - H
+PINSKER_SLACK = 1e-12
+
+
+def entropy_rows(flat: np.ndarray, offsets: np.ndarray, k: float = 1.0) -> list[float]:
+    """-k * sum(p_i ln p_i) of every row of a block, each the exact fsum
+    that shannon_entropy gives for that row alone."""
+    pos = flat > 0
+    x = flat[pos]
+    kept = np.concatenate(([0], np.cumsum(pos)))[offsets]
+    values = [k * s for s in segment_fsums(-x * np.log(x), kept)]
+    for v in values:
+        if not math.isfinite(v):
+            EntropyValue.from_k(v, k)  # raises: the value has overflowed
+    return values
 
 
 def _neg_plogp_terms(probs: np.ndarray) -> list[float]:
@@ -120,10 +142,20 @@ class MajorizationReport:
     incomparable: bool
 
 
-def _majorizes(a: np.ndarray, b: np.ndarray) -> bool:
-    pa = np.cumsum(np.sort(a)[::-1])
-    pb = np.cumsum(np.sort(b)[::-1])
-    return bool(np.all(pa >= pb - MAJORIZATION_TOL))
+def _majorizes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether a majorizes b, row by row along the last axis; rows of a 2-D
+    block are zero-padded, which leaves their sorted prefix sums exact."""
+    pa = np.cumsum(np.sort(a, axis=-1)[..., ::-1], axis=-1)
+    pb = np.cumsum(np.sort(b, axis=-1)[..., ::-1], axis=-1)
+    return np.all(pa >= pb - MAJORIZATION_TOL, axis=-1)
+
+
+def _entropy_ordered(p_maj_q: bool, q_maj_p: bool, hp: float, hq: float) -> bool:
+    """The more concentrated distribution has the smaller entropy, for
+    whichever majorization holds (vacuously true for incomparable pairs)."""
+    return (not p_maj_q or hp <= hq + MAJORIZATION_TOL) and (
+        not q_maj_p or hq <= hp + MAJORIZATION_TOL
+    )
 
 
 def schur_concavity_check(
@@ -133,18 +165,13 @@ def schur_concavity_check(
     ordering: the more concentrated distribution has the smaller entropy."""
     if p.n != q.n:
         raise ValidationError(f"majorization needs equal lengths, got {p.n} and {q.n}")
-    p_maj_q = _majorizes(p.probs, q.probs)
-    q_maj_p = _majorizes(q.probs, p.probs)
+    p_maj_q = bool(_majorizes(p.probs, q.probs))
+    q_maj_p = bool(_majorizes(q.probs, p.probs))
     hp = shannon_entropy(p, k).value
     hq = shannon_entropy(q, k).value
-    ordered = True
-    if p_maj_q:
-        ordered = ordered and hp <= hq + MAJORIZATION_TOL
-    if q_maj_p:
-        ordered = ordered and hq <= hp + MAJORIZATION_TOL
     return MajorizationReport(
         majorizes=p_maj_q,
-        entropy_ordered=ordered,
+        entropy_ordered=_entropy_ordered(p_maj_q, q_maj_p, hp, hq),
         incomparable=not (p_maj_q or q_maj_p),
     )
 
@@ -152,13 +179,36 @@ def schur_concavity_check(
 # -- randomized axiom-verification suite ---------------------------------------
 #
 # Everything below is seed-driven so parallel or repeated runs reproduce
-# bit-identically.
+# bit-identically.  The draws run one by one, in a fixed order; the checks
+# run on blocks of about BLOCK_ELEMENTS drawn elements.
+
+
+def _simplex_row(rng: np.random.Generator, n: int) -> np.ndarray:
+    w = rng.exponential(size=n)
+    return w / math.fsum(w.tolist())
 
 
 def random_distribution(rng: np.random.Generator, n: int) -> DiscreteDistribution:
     """Uniform draw from the n-simplex (normalized exponentials)."""
-    w = rng.exponential(size=n)
-    return DiscreteDistribution(w / math.fsum(w.tolist()))
+    return DiscreteDistribution(_simplex_row(rng, n))
+
+
+def _robin_hood_rows(
+    rng: np.random.Generator, n: int, transfers: int
+) -> tuple[np.ndarray, np.ndarray]:
+    start = _simplex_row(rng, n)
+    flat = start.copy()
+    for _ in range(transfers):
+        i, j = rng.choice(n, size=2, replace=False)
+        if flat[i] < flat[j]:
+            i, j = j, i
+        gap = flat[i] - flat[j]
+        if gap <= 0:
+            continue
+        eps = rng.uniform(0.0, 0.5) * gap
+        flat[i] -= eps
+        flat[j] += eps
+    return start, flat
 
 
 def robin_hood_pair(
@@ -172,19 +222,68 @@ def robin_hood_pair(
     """
     if n < 2:
         raise ValidationError("majorization pairs need n >= 2")
-    start = random_distribution(rng, n).probs.copy()
-    flat = start.copy()
-    for _ in range(transfers):
-        i, j = rng.choice(n, size=2, replace=False)
-        if flat[i] < flat[j]:
-            i, j = j, i
-        gap = flat[i] - flat[j]
-        if gap <= 0:
-            continue
-        eps = rng.uniform(0.0, 0.5) * gap
-        flat[i] -= eps
-        flat[j] += eps
+    start, flat = _robin_hood_rows(rng, n, transfers)
     return DiscreteDistribution(start), DiscreteDistribution(flat)
+
+
+def _mixture_draws(rng, pairs, max_n):
+    """Two same-length simplex points and their mixture at weight lam."""
+    for _ in range(pairs):
+        n = int(rng.integers(1, max_n + 1))
+        a = _simplex_row(rng, n)
+        b = _simplex_row(rng, n)
+        lam = rng.uniform(0.0, 1.0)
+        yield (a, b, lam * a + (1.0 - lam) * b), lam
+
+
+def _product_draws(rng, pairs, max_n):
+    """Two independent simplex points and their joint distribution."""
+    for _ in range(pairs):
+        n = int(rng.integers(1, max_n + 1))
+        m = int(rng.integers(1, max_n + 1))
+        p = _simplex_row(rng, n)
+        q = _simplex_row(rng, m)
+        yield (p, q, np.outer(p, q).ravel()), None
+
+
+def _majorization_draws(rng, pairs, max_n):
+    """Robin Hood pairs, the start point majorizing the flattened one."""
+    for _ in range(pairs):
+        n = int(rng.integers(2, max_n + 1))
+        yield _robin_hood_rows(rng, n, int(rng.integers(1, 6))), None
+
+
+def _blocks(draws):
+    """Consecutive draws, each (rows, extra), as blocks: the flat array and
+    offsets of their rows, and the extras.  A block holds at most
+    BLOCK_ELEMENTS elements, unless one draw alone holds more."""
+    rows, extras, size = [], [], 0
+    for draw_rows, extra in draws:
+        n = sum(r.size for r in draw_rows)
+        if rows and size + n > BLOCK_ELEMENTS:
+            yield (*ragged(rows), extras)
+            rows, extras, size = [], [], 0
+        rows += draw_rows
+        extras.append(extra)
+        size += n
+    if rows:
+        yield (*ragged(rows), extras)
+
+
+def _padded(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The rows of a block as a zero-padded 2-D array."""
+    n = np.diff(offsets)
+    out = np.zeros((n.size, n.max()))
+    out[np.repeat(np.arange(n.size), n), np.arange(flat.size) - np.repeat(offsets[:-1], n)] = flat
+    return out
+
+
+def _pinsker_holds(flat, offsets, h: list[float], k: float) -> np.ndarray:
+    """1/2 |p - u|_1^2 <= (ln n - H/k) + slack for every row: Pinsker's
+    inequality against the uniform point u, so H = ln n only at p = u."""
+    n = np.diff(offsets)
+    l1 = np.add.reduceat(np.abs(flat - np.repeat(1.0 / n, n)), offsets[:-1])
+    return 0.5 * l1**2 <= (np.log(n) - np.array(h) / k) + PINSKER_SLACK
 
 
 @dataclass(frozen=True)
@@ -228,6 +327,10 @@ def run_axiom_suite(
     concavity mixture test and the per-distribution checks.
     """
     check_positive(k, "k")
+    check_count(n_distributions, "n_distributions", 2)
+    check_count(additivity_pairs, "additivity_pairs", 0)
+    check_count(majorization_pairs, "majorization_pairs", 0)
+    check_count(max_n, "max_n", 2 if majorization_pairs > 0 else 1)
     rng = np.random.default_rng(seed)
 
     min_entropy = math.inf
@@ -235,23 +338,21 @@ def run_axiom_suite(
     concavity_min_slack = math.inf
     equality_only_at_uniform = True
 
+    # rows per pair: a, b and their mixture
     n_pairs = n_distributions // 2
-    for _ in range(n_pairs):
-        n = int(rng.integers(1, max_n + 1))
-        a = random_distribution(rng, n)
-        b = random_distribution(rng, n)
-        ha = shannon_entropy(a, k).value
-        hb = shannon_entropy(b, k).value
-        bound = k * math.log(n)
-        min_entropy = min(min_entropy, ha, hb)
-        max_bound_excess = max(max_bound_excess, ha - bound, hb - bound)
-        for d, h in ((a, ha), (b, hb)):
-            if bound - h <= 1e-12 and np.max(np.abs(d.probs - 1.0 / n)) > 1e-9:
-                equality_only_at_uniform = False
-        lam = rng.uniform(0.0, 1.0)
-        mix = DiscreteDistribution(lam * a.probs + (1.0 - lam) * b.probs)
-        slack = shannon_entropy(mix, k).value - (lam * ha + (1.0 - lam) * hb)
-        concavity_min_slack = min(concavity_min_slack, slack)
+    for flat, offsets, lams in _blocks(_mixture_draws(rng, n_pairs, max_n)):
+        check_probability_rows(flat, offsets, DEFAULT_TOLERANCE)
+        h = entropy_rows(flat, offsets, k)
+        sizes = np.diff(offsets)[0::3].tolist()
+        for i, lam in enumerate(lams):
+            ha, hb, hmix = h[3 * i : 3 * i + 3]
+            bound = k * math.log(sizes[i])
+            min_entropy = min(min_entropy, ha, hb)
+            max_bound_excess = max(max_bound_excess, ha - bound, hb - bound)
+            slack = hmix - (lam * ha + (1.0 - lam) * hb)
+            concavity_min_slack = min(concavity_min_slack, slack)
+        drawn = _pinsker_holds(flat, offsets, h, k).reshape(-1, 3)[:, :2]
+        equality_only_at_uniform = equality_only_at_uniform and bool(drawn.all())
 
     # equality at the uniform point, for a spread of sizes
     uniform_gap = max(
@@ -259,20 +360,28 @@ def run_axiom_suite(
         for n in (1, 2, 3, 7, 16, 64)
     )
 
+    # rows per pair: p, q and their joint distribution
     additivity_max = 0.0
-    for _ in range(additivity_pairs):
-        n = int(rng.integers(1, max_n + 1))
-        m = int(rng.integers(1, max_n + 1))
-        defect = additivity_defect(random_distribution(rng, n), random_distribution(rng, m), k)
-        additivity_max = max(additivity_max, defect)
+    for flat, offsets, _ in _blocks(_product_draws(rng, additivity_pairs, max_n)):
+        tol = np.full(offsets.size - 1, DEFAULT_TOLERANCE)
+        n = np.diff(offsets)
+        tol[2::3] = product_tolerance(DEFAULT_TOLERANCE, n[0::3] + n[1::3])
+        check_probability_rows(flat, offsets, tol)
+        h = entropy_rows(flat, offsets, k)
+        for hp, hq, joint in zip(h[0::3], h[1::3], h[2::3]):
+            additivity_max = max(additivity_max, abs(joint - hp - hq))
 
+    # rows per pair: the start point p and the flattened q
     majorization_violations = 0
-    for _ in range(majorization_pairs):
-        n = int(rng.integers(2, max_n + 1))
-        p, q = robin_hood_pair(rng, n, transfers=int(rng.integers(1, 6)))
-        report = schur_concavity_check(p, q, k)
-        if not (report.majorizes and report.entropy_ordered):
-            majorization_violations += 1
+    for flat, offsets, _ in _blocks(_majorization_draws(rng, majorization_pairs, max_n)):
+        check_probability_rows(flat, offsets, DEFAULT_TOLERANCE)
+        h = entropy_rows(flat, offsets, k)
+        rows = _padded(flat, offsets)
+        p_maj_q = _majorizes(rows[0::2], rows[1::2]).tolist()
+        q_maj_p = _majorizes(rows[1::2], rows[0::2]).tolist()
+        for pq, qp, hp, hq in zip(p_maj_q, q_maj_p, h[0::2], h[1::2]):
+            if not (pq and _entropy_ordered(pq, qp, hp, hq)):
+                majorization_violations += 1
 
     passed = (
         min_entropy >= 0.0

@@ -24,10 +24,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DensitySpec, EntropyValue, check_positive, float_vector
+from .distributions import (
+    BLOCK_ELEMENTS,
+    DensitySpec,
+    EntropyValue,
+    check_count,
+    check_positive,
+    float_vector,
+    fsum_decides,
+    normalized_rows,
+    segment_fsums,
+)
 from .errors import InvalidDensity, NonPositiveWidth, ValidationError
 
 MAXENT_SLACK = 1e-12
+# how far sum(w_i f_i) of a shell density may stray from 1
+SHELL_TOLERANCE = 1e-9
 
 
 def modified_differential_entropy(f: DensitySpec, h: float, k: float = 1.0) -> EntropyValue:
@@ -58,9 +70,7 @@ class ShellSpec:
     def __post_init__(self) -> None:
         for name in ("E", "dE", "V", "m", "planck_h"):
             check_positive(getattr(self, name), name)
-        if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
-            raise ValidationError(f"N must be an integer >= 1, got {self.N!r}")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", check_count(self.N, "N", 1))
         if self.dE / self.E > 0.1:
             warnings.warn(
                 f"shell thickness dE/E = {self.dE / self.E:.3f} is not small; "
@@ -144,7 +154,7 @@ class DiscretizedShellDensity:
         if np.any(f < 0):
             raise InvalidDensity("densities must be nonnegative")
         total = math.fsum((w * f).tolist())
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > SHELL_TOLERANCE:
             raise InvalidDensity(f"sum(w_i f_i) = {total}, off by {total - 1.0:+.3e}")
         w.setflags(write=False)
         f.setflags(write=False)
@@ -169,6 +179,16 @@ def shell_entropy(d: DiscretizedShellDensity, C: float, k: float = 1.0) -> float
     return k * math.fsum(terms)
 
 
+def _entropy_above(w: np.ndarray, f: np.ndarray, C: float, k: float, threshold: float) -> bool:
+    """Whether the shell entropy of any row of densities f exceeds
+    threshold, each decided as its fsum would decide it."""
+    pos = f > 0
+    terms = np.zeros(f.shape)
+    terms[pos] = -np.broadcast_to(w, f.shape)[pos] * f[pos] * np.log(C * f[pos])
+    offsets = np.arange(len(f) + 1) * w.size
+    return bool(fsum_decides(terms.ravel(), offsets, lambda s: k * s > threshold).any())
+
+
 @dataclass(frozen=True)
 class MaxentReport:
     entropy: float
@@ -188,24 +208,39 @@ def maxent_shell_check(
     The optimum is known in closed form (constant density), so the burden
     here is falsification: `trials` random normalization- and
     nonnegativity-preserving perturbations of the uniform density, none of
-    which may exceed its entropy by more than 1e-12.
+    which may exceed its entropy by more than 1e-12.  The trials are drawn
+    one by one and checked in blocks of about BLOCK_ELEMENTS cells; each
+    trial's shell-density checks and its entropy test decide exactly as
+    fsum would.
     """
     entropy = shell_entropy(d, C, k)
     uniform = DiscretizedShellDensity.uniform(d.cell_volumes)
-    s_uniform = shell_entropy(uniform, C, k)
+    threshold = shell_entropy(uniform, C, k) + MAXENT_SLACK
     rng = np.random.default_rng(seed)
     w = d.cell_volumes
-    is_maximal = True
-    for _ in range(trials):
-        raw = rng.exponential(size=w.size)
-        candidate = raw / math.fsum((w * raw).tolist())
-        t = 1.0 - rng.random()  # in (0, 1]: never the uniform point itself
+    m = w.size
+    per_block = max(1, BLOCK_ELEMENTS // m)
+    for first in range(0, trials, per_block):
+        rows = min(per_block, trials - first)
+        raw = np.empty((rows, m))
+        t = np.empty((rows, 1))
+        for i in range(rows):
+            raw[i] = rng.exponential(size=m)
+            t[i] = 1.0 - rng.random()  # in (0, 1]: never the uniform point itself
+        offsets = np.arange(rows + 1) * m
+        candidate = raw / np.array(segment_fsums((w * raw).ravel(), offsets))[:, None]
         mixed = (1.0 - t) * uniform.densities + t * candidate
-        s = shell_entropy(DiscretizedShellDensity(w, mixed), C, k)
-        if s > s_uniform + MAXENT_SLACK:
-            is_maximal = False
-            break
-    return MaxentReport(entropy=entropy, is_maximal=is_maximal)
+        # the DiscretizedShellDensity checks on every row, decided as it decides
+        good = np.isfinite(mixed) & (mixed >= 0)
+        weighted = np.where(good, w * mixed, 0.0).ravel()
+        ok = good.all(axis=1) & normalized_rows(weighted, offsets, SHELL_TOLERANCE)
+        bad = None if ok.all() else int(np.argmin(ok))
+        valid = mixed[:bad]
+        if valid.size and _entropy_above(w, valid, C, k, threshold):
+            return MaxentReport(entropy=entropy, is_maximal=False)
+        if bad is not None:
+            DiscretizedShellDensity(w, mixed[bad])  # raises this carrier's own error
+    return MaxentReport(entropy=entropy, is_maximal=True)
 
 
 # -- two classical-entropy readings compared -----------------------------------
@@ -220,7 +255,8 @@ class EntropyFormComparison:
     the density by the cell volume outside the logarithm instead, giving
     S = k ln(Omega) / h^3N, which is not Boltzmann's form and differs by
     more than any additive constant.  When h^3N is not representable the
-    prefactor value is carried as a log-magnitude with sign.
+    prefactor value is carried as a log-magnitude with sign, and JSON
+    gives an overflowed prefactor and gap as null.
     """
 
     s_cell_in_log: float
@@ -233,13 +269,17 @@ class EntropyFormComparison:
     def to_json_obj(self) -> dict:
         obj = {
             "S_cell_in_log": self.s_cell_in_log,
-            "S_prefactor": self.s_prefactor,
-            "gap": self.gap,
+            "S_prefactor": _finite_or_none(self.s_prefactor),
+            "gap": _finite_or_none(self.gap),
         }
         if self.overflowed:
             obj["S_prefactor_log_magnitude"] = self.prefactor_log_magnitude
             obj["S_prefactor_sign"] = self.prefactor_sign
         return obj
+
+
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
 
 
 def compare_entropy_forms(
@@ -248,10 +288,11 @@ def compare_entropy_forms(
     """Evaluate both expressions from a known log shell volume."""
     check_positive(k, "k")
     check_positive(planck_h, "planck_h")
-    if N < 1:
-        raise ValidationError(f"N must be >= 1, got {N}")
+    check_count(N, "N", 1)
+    if not math.isfinite(ln_omega):
+        raise ValidationError(f"ln_omega must be finite, got {ln_omega}")
     log_cell = 3.0 * N * math.log(planck_h)
-    s_in_log = k * (ln_omega - log_cell)
+    s_in_log = EntropyValue.from_k(k * (ln_omega - log_cell), k).value
 
     sign = int(math.copysign(1.0, ln_omega)) if ln_omega != 0.0 else 0
     if ln_omega == 0.0:
@@ -264,6 +305,10 @@ def compare_entropy_forms(
     elif log_mag < -700.0 and ln_omega != 0.0:
         s_prefactor = sign * 0.0
         overflowed = True
+    elif abs(log_cell) > 708.0:
+        # h^3N is out of the normal float range, but the reading is not
+        s_prefactor = sign * math.exp(log_mag)
+        overflowed = False
     else:
         s_prefactor = k * ln_omega / planck_h ** (3 * N)
         overflowed = False

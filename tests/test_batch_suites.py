@@ -1,0 +1,140 @@
+"""The block-batched axiom and max-entropy suites: their outputs against a
+golden corpus, and their memory against a fixed ceiling.
+
+The corpus is written by `scripts/axiom_golden.py`; run it on a checkout to
+see that checkout's outputs.
+"""
+
+import json
+import math
+import re
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from entrokit import (
+    DiscretizedShellDensity,
+    InvalidDensity,
+    maxent_shell_check,
+    run_axiom_suite,
+    shell_entropy,
+    statmech,
+)
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "axiom_golden.json").read_text())
+
+# Blocks hold about 4,096 elements, so both suites peak near 1 MiB; a batch
+# over a whole phase at once peaks above 30 MiB.
+PEAK_CEILING = 2 * 2**20
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN["suites"], ids=[f"{c['name']}-{c['seed']}" for c in GOLDEN["suites"]]
+)
+def test_suite_report_bytes(case):
+    report = run_axiom_suite(case["seed"], **case["sizes"])
+    assert json.dumps(report.to_json_obj(), separators=(",", ":")) == case["report"]
+
+
+def _cells(m):
+    return DiscretizedShellDensity.uniform(np.random.default_rng(m).uniform(0.5, 2.0, m))
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN["maxent"], ids=[f"m{c['m']}-C{c['C']}" for c in GOLDEN["maxent"]]
+)
+def test_maxent_results(case):
+    report = maxent_shell_check(_cells(case["m"]), C=case["C"], trials=case["trials"],
+                                seed=case["seed"])
+    assert (report.entropy, report.is_maximal) == (case["entropy"], case["is_maximal"])
+
+
+def _trials(d, trials, seed):
+    """The densities of maxent_shell_check's trials, drawn one at a time in
+    the order the check draws them."""
+    w = d.cell_volumes
+    uniform = DiscretizedShellDensity.uniform(w)
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        raw = rng.exponential(size=w.size)
+        candidate = raw / math.fsum((w * raw).tolist())
+        t = 1.0 - rng.random()
+        yield (1.0 - t) * uniform.densities + t * candidate
+
+
+def _reference_maxent(d, C, trials, seed):
+    """The per-trial loop the batched check replaced: build each trial as a
+    carrier, then compare its entropy with the uniform one plus the slack."""
+    threshold = shell_entropy(DiscretizedShellDensity.uniform(d.cell_volumes), C)
+    threshold += statmech.MAXENT_SLACK
+    for mixed in _trials(d, trials, seed):
+        if shell_entropy(DiscretizedShellDensity(d.cell_volumes, mixed), C) > threshold:
+            return False
+    return True
+
+
+def _new_lows(values):
+    """(i, cut) for every trial i > 0 whose value is below all earlier ones,
+    with a cut strictly between it and the lowest earlier value."""
+    lows = []
+    for i in range(1, len(values)):
+        low = min(values[:i])
+        if values[i] < low:
+            lows.append((i, 0.5 * (values[i] + low)))
+    return lows
+
+
+@pytest.mark.parametrize("m", [64, 1000, 5000])  # 64 and 4 trials a block; 1 trial a block
+def test_maxent_decisions_match_the_per_trial_loop(m, monkeypatch):
+    """Make chosen trials exceed the threshold (a negative slack) or fail the
+    normalization check (a tolerance below their error), at positions inside
+    a block, and check that the batched check returns or raises as the
+    per-trial loop does, whichever of the two comes first."""
+    d, C, trials, seed = _cells(m), 1.0, 80, 3
+    w = d.cell_volumes
+    s_uniform = shell_entropy(DiscretizedShellDensity.uniform(w), C)
+    deficit, error = [], []
+    for mixed in _trials(d, trials, seed):
+        deficit.append(s_uniform - shell_entropy(DiscretizedShellDensity(w, mixed), C))
+        error.append(abs(math.fsum((w * mixed).tolist()) - 1.0))
+    # each cut picks one trial: a slack of -cut makes it the first to exceed
+    # the threshold, a tolerance of -cut the first to fail normalization
+    first_exceeding = _new_lows(deficit)
+    first_invalid = _new_lows([-e for e in error])
+    assert first_exceeding and first_invalid
+    outcomes = set()
+    for _, cut in first_exceeding:
+        for tolerance in [statmech.SHELL_TOLERANCE] + [-c for _, c in first_invalid]:
+            monkeypatch.setattr(statmech, "MAXENT_SLACK", -cut)
+            monkeypatch.setattr(statmech, "SHELL_TOLERANCE", tolerance)
+            try:
+                expected = _reference_maxent(d, C, trials, seed)
+            except InvalidDensity as exc:
+                with pytest.raises(InvalidDensity, match=re.escape(str(exc))):
+                    maxent_shell_check(d, C, trials=trials, seed=seed)
+                outcomes.add("invalid")
+                continue
+            assert expected is False
+            assert maxent_shell_check(d, C, trials=trials, seed=seed).is_maximal is False
+            outcomes.add("exceeds")
+    assert outcomes == {"invalid", "exceeds"}
+
+
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_axiom_suite_memory_is_bounded():
+    assert _peak(lambda: run_axiom_suite(1)) < PEAK_CEILING
+
+
+def test_maxent_memory_is_bounded():
+    d = _cells(4096)
+    assert _peak(lambda: maxent_shell_check(d, C=1.0, trials=200, seed=2)) < PEAK_CEILING

@@ -210,12 +210,33 @@ class TestRunOutputs:
         body = json.loads(out)
         assert body["gap"] == pytest.approx(8 - 3 * math.log(2) - 1, abs=1e-10)
 
+    def test_statmech_compare_overflow_is_null(self):
+        code, out, _ = invoke(
+            ["statmech", "compare", "--E", "150", "--dE", "1.5", "--V", "1000", "--N", "1000",
+             "--planck-h", "0.1"]
+        )
+        assert code == 0
+        body = strict_json(out)
+        assert body["S_prefactor"] is None and body["gap"] is None
+        assert body["S_prefactor_sign"] == 1
+        assert body["S_prefactor_log_magnitude"] > 700.0
+        assert math.isfinite(body["S_cell_in_log"])
+
+    def test_axioms_max_n_1_without_majorization_pairs(self):
+        code, out, _ = invoke(["axioms", "--max-n", "1", "--majorization-pairs", "0",
+                               "--n-dists", "20", "--additivity-pairs", "5"])
+        assert code == 0
+        assert strict_json(out)["passed"] is True
+
     def test_axioms_seeded(self):
         argv = ["axioms", "--seed", "3", "--n-dists", "200",
                 "--additivity-pairs", "40", "--majorization-pairs", "40"]
         code, out, _ = invoke(argv)
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+
+COMPARE = ["statmech", "compare", "--E", "1", "--dE", "0.01", "--V", "1", "--N", "1"]
 
 
 def density(params):
@@ -240,6 +261,16 @@ BAD_VALUES = {
     "converge-40-halvings": [
         "converge", "--density", GAUSSIAN, "--h-start", "0.5", "--halvings", "40"
     ],
+    "axioms-n-dists-1": ["axioms", "--n-dists", "1"],
+    "axioms-n-dists-minus-4": ["axioms", "--n-dists", "-4"],
+    "axioms-max-n-0": ["axioms", "--max-n", "0"],
+    "axioms-max-n-1-with-majorization-pairs": ["axioms", "--max-n", "1"],
+    "axioms-additivity-pairs-minus-3": ["axioms", "--additivity-pairs", "-3"],
+    "axioms-majorization-pairs-minus-1": ["axioms", "--majorization-pairs", "-1"],
+    "axioms-k-1e308": ["axioms", "--n-dists", "100", "--k", "1e308"],
+    "compare-ln-omega-nan": [*COMPARE, "--ln-omega", "nan"],
+    "compare-ln-omega-inf": [*COMPARE, "--ln-omega", "inf"],
+    "compare-ln-omega-minus-inf": [*COMPARE, "--ln-omega=-inf"],
 }
 
 
@@ -292,6 +323,12 @@ class TestExitCodes:
         code, out, _ = invoke(["discrete", "--probs", "[0.5,0.5]"])
         assert code == 70
         assert json.loads(out)["error"]["kind"] == "InternalError"
+
+    def test_non_finite_result_is_an_internal_error_not_bare_nan(self, monkeypatch):
+        monkeypatch.setitem(cli._HANDLERS, "discrete", lambda ns: {"value": math.nan})
+        code, out, _ = invoke(["discrete", "--probs", "[0.5,0.5]"])
+        assert code == 70
+        assert strict_json(out)["error"]["kind"] == "InternalError"
 
     def test_success_is_0(self):
         code, _, _ = invoke(["discrete", "--probs", "[1.0]"])

@@ -26,6 +26,13 @@ from entrokit import (
     validate_distribution,
 )
 
+from entrokit.distributions import (
+    check_probability_rows,
+    fsum_decides,
+    normalized_rows,
+    ragged,
+)
+
 from conftest import distributions, same_length_pairs
 
 
@@ -260,3 +267,81 @@ class TestJsonInputs:
     def test_emit_parse_roundtrip(self, d):
         again = discrete_from_json(json.dumps(d.to_json_obj()))
         np.testing.assert_array_equal(again.probs, d.probs)
+
+
+class TestCertifiedDecisions:
+    """fsum_decides must reach fsum's decision on every row, including rows
+    whose sum lies inside the np.sum error band, where it falls back."""
+
+    @staticmethod
+    def fsum_calls(monkeypatch):
+        calls = []
+        fsum = math.fsum
+
+        def counted(xs):
+            calls.append(1)
+            return fsum(xs)
+
+        monkeypatch.setattr(math, "fsum", counted)
+        return calls
+
+    def test_sums_inside_the_band_of_a_1e_9_threshold(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        rows = []
+        for j in range(-40, 41):
+            x = rng.uniform(0.0, 2.0, 1000)
+            x *= (1.0 + 1e-9 + j * 1e-15) / math.fsum(x.tolist())
+            rows.append(x)
+        flat, offsets = ragged(rows)
+        expected = [abs(math.fsum(r.tolist()) - 1.0) <= 1e-9 for r in rows]
+        assert any(expected) and not all(expected)
+        calls = self.fsum_calls(monkeypatch)
+        assert normalized_rows(flat, offsets, 1e-9).tolist() == expected
+        assert calls  # the rows within about 2e-13 of the threshold fell back
+
+    def test_heavy_cancellation(self, monkeypatch):
+        rows = [
+            np.array([1e16, 1.0, -1e16]),
+            np.array([1e16, 1.0, -1e16, 1e-9]),
+            np.array([1e16, 1.0 + 2e-9, -1e16]),
+            np.array([1e300, -1e300, 1.0]),
+            np.array([0.5, 0.25, 0.25]),
+        ]
+        flat, offsets = ragged(rows)
+        expected = [abs(math.fsum(r.tolist()) - 1.0) <= 1e-9 for r in rows]
+        calls = self.fsum_calls(monkeypatch)
+        assert normalized_rows(flat, offsets, 1e-9).tolist() == expected
+        assert len(calls) == 4  # every row but the last is too close to call
+
+    @given(
+        st.lists(
+            st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=1, max_size=40),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(-4, 4),
+    )
+    def test_threshold_at_the_exact_sum(self, rows, ulps):
+        rows = [np.array(r) for r in rows]
+        flat, offsets = ragged(rows)
+        exact = np.array([math.fsum(r.tolist()) for r in rows])
+        # thresholds a few ulps either side of each exact sum
+        thr = exact + ulps * np.spacing(np.abs(exact))
+        got = fsum_decides(flat, offsets, lambda t: t > thr, lambda t: t - 1.0 <= 1e-9)
+        assert got.tolist() == ((exact > thr) & (exact - 1.0 <= 1e-9)).tolist()
+
+    def test_block_checks_raise_the_carrier_error_of_the_first_bad_row(self):
+        flat, offsets = ragged([np.array([0.5, 0.5]), np.array([0.7, 0.5]), np.array([-0.5, 1.5])])
+        with pytest.raises(NotNormalized, match="sum to 1.2"):
+            check_probability_rows(flat, offsets, 1e-9)
+        flat, offsets = ragged([np.array([1.0]), np.array([-0.5, 1.5]), np.array([0.7, 0.5])])
+        with pytest.raises(NegativeProbability):
+            check_probability_rows(flat, offsets, 1e-9)
+        flat, offsets = ragged([np.array([1.0]), np.array([np.nan, 1.0])])
+        with pytest.raises(ValidationError, match="finite"):
+            check_probability_rows(flat, offsets, 1e-9)
+        check_probability_rows(*ragged([np.array([1.0]), np.full(3, 1 / 3)]), 1e-9)
+
+    def test_per_row_tolerances(self):
+        flat, offsets = ragged([np.array([0.5, 0.5 + 1e-8]), np.array([0.5, 0.5 + 1e-8])])
+        assert normalized_rows(flat, offsets, np.array([1e-9, 1e-7])).tolist() == [False, True]

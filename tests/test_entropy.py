@@ -22,6 +22,9 @@ from entrokit import (
     validate_distribution,
 )
 
+from entrokit.distributions import ragged
+from entrokit.entropy import _pinsker_holds, entropy_rows
+
 from conftest import distributions, same_length_pairs
 
 LN2 = math.log(2.0)
@@ -218,3 +221,65 @@ class TestAxiomSuite:
         a = run_axiom_suite(seed=1, n_distributions=100, additivity_pairs=10, majorization_pairs=10)
         b = run_axiom_suite(seed=2, n_distributions=100, additivity_pairs=10, majorization_pairs=10)
         assert a.additivity_max_defect != b.additivity_max_defect
+
+    def test_near_uniform_draw_is_not_an_equality_failure(self):
+        # pair 999 of this seed draws n = 2 with |p - 1/2| = 1.9e-7, so
+        # ln 2 - H = 7.45e-14: a genuine non-uniform point whose entropy gap
+        # is quadratic in its deviation, which Pinsker's inequality allows
+        report = run_axiom_suite(538864902)
+        assert report.equality_only_at_uniform
+        assert report.passed
+
+    def test_pinsker_test_trips_on_a_false_entropy(self):
+        flat, offsets = ragged([np.array([0.5, 0.5]), np.array([0.6, 0.4]), np.full(4, 0.25)])
+        honest = [shannon_entropy(DiscreteDistribution(flat[a:b])).value
+                  for a, b in zip(offsets[:-1], offsets[1:])]
+        assert _pinsker_holds(flat, offsets, honest, 1.0).all()
+        # claiming ln n for the non-uniform row is a violation
+        claimed = [honest[0], math.log(2.0), honest[2]]
+        assert _pinsker_holds(flat, offsets, claimed, 1.0).tolist() == [True, False, True]
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"n_distributions": 1},
+            {"n_distributions": -4},
+            {"max_n": 0},
+            {"max_n": 1},
+            {"additivity_pairs": -3},
+            {"majorization_pairs": -1},
+            {"n_distributions": 10.0},
+        ],
+        ids=["n-1", "n-minus-4", "max-n-0", "max-n-1-with-pairs", "additivity-minus-3",
+             "majorization-minus-1", "n-float"],
+    )
+    def test_bad_counts_raise_before_any_draw(self, sizes):
+        with pytest.raises(ValidationError):
+            run_axiom_suite(0, **sizes)
+
+    def test_max_n_1_without_majorization_pairs(self):
+        report = run_axiom_suite(0, n_distributions=20, max_n=1, additivity_pairs=5,
+                                 majorization_pairs=0)
+        assert report.passed
+        assert report.min_entropy == 0.0
+
+    def test_blocks_split_rows_whatever_their_sizes(self):
+        # joints of up to 150 x 150 cells are larger than a block, and the
+        # small rows fill blocks of many pairs
+        report = run_axiom_suite(3, n_distributions=60, max_n=150, additivity_pairs=6,
+                                 majorization_pairs=10)
+        assert report.passed
+
+    def test_entropy_overflow_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="entropy value must be finite"):
+            run_axiom_suite(0, n_distributions=100, k=1e308)
+
+
+class TestEntropyRows:
+    @given(st.lists(distributions(max_n=12), min_size=1, max_size=8))
+    def test_rows_match_single_distributions(self, dists):
+        flat, offsets = ragged([d.probs for d in dists])
+        # the per-distribution sum, written out: -k fsum(p ln p) over p > 0
+        expected = [BITS * math.fsum((-p * np.log(p)).tolist())
+                    for p in (d.probs[d.probs > 0] for d in dists)]
+        assert entropy_rows(flat, offsets, BITS) == expected

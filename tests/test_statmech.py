@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,6 +259,19 @@ class TestEntropyFormComparison:
         assert report.prefactor_sign == 1
         expected = math.log(100.0) - 600.0 * math.log(1e-3)
         assert report.prefactor_log_magnitude == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "ln_omega, planck_h, N",
+        [(1e6, 10.0, 103), (1e-100, 0.1, 110), (-1e-100, 0.1, 110)],
+        ids=["cell-overflows", "cell-underflows", "negative"],
+    )
+    def test_prefactor_when_the_cell_is_out_of_float_range(self, ln_omega, planck_h, N):
+        # h^3N is not a normal float here, though the reading k ln(Omega) / h^3N is
+        report = compare_entropy_forms(ln_omega=ln_omega, planck_h=planck_h, N=N)
+        assert not report.overflowed
+        with mpmath.workdps(30):
+            expected = float(mpmath.mpf(ln_omega) / mpmath.mpf(planck_h) ** (3 * N))
+        assert report.s_prefactor == pytest.approx(expected, rel=1e-12)
 
     def test_underflow_reported_too(self):
         report = compare_entropy_forms(ln_omega=-5.0, planck_h=1e3, N=200)
