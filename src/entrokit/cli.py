@@ -142,7 +142,10 @@ def _input_text(ns: argparse.Namespace, flag: str) -> str:
     path = ns.input if value is None else value
     if not Path(path).is_file():
         raise FileNotFoundError(f"input file not found: {path}")
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"input file {path} is not UTF-8 text: {e}") from None
 
 
 def _cmd_discrete(ns: argparse.Namespace) -> dict:

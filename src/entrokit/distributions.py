@@ -166,7 +166,13 @@ class DensitySpec:
     support: tuple[float, float] = field(default=(math.nan, math.nan))
 
     def __post_init__(self) -> None:
-        family = DensityFamily(self.family)
+        try:
+            family = DensityFamily(self.family)
+        except ValueError:
+            raise ValidationError(
+                f"unknown density family {self.family!r}; expected one of "
+                f"{[f.value for f in DensityFamily]}"
+            ) from None
         object.__setattr__(self, "family", family)
         try:
             params = {k: float(v) for k, v in self.params.items()}
@@ -186,7 +192,7 @@ class DensitySpec:
                     f"interval lo < hi, got ({lo}, {hi})"
                 )
         object.__setattr__(self, "support", supports[-1][1])
-        captured = self.mass(*self.support)
+        captured = float(self.bin_masses(np.array(self.support))[0])
         if captured < 1.0 - 1e-9:
             raise UnboundedSupport(
                 f"declared support holds mass {captured}, below 1 - 1e-9"
@@ -221,40 +227,30 @@ class DensitySpec:
         return rate * math.exp(-rate * x) if x >= 0.0 else 0.0
 
     def cdf(self, x: float) -> float:
-        if self.family is DensityFamily.UNIFORM:
-            a, b = self.params["a"], self.params["b"]
-            if x <= a:
-                return 0.0
-            if x >= b:
-                return 1.0
-            return (x - a) / (b - a)
-        if self.family is DensityFamily.GAUSSIAN:
-            mu, sigma = self.params["mu"], self.params["sigma"]
-            return 0.5 * math.erfc(-(x - mu) / (sigma * SQRT2))
-        rate = self.params["rate"]
-        return -math.expm1(-rate * x) if x > 0.0 else 0.0
-
-    def mass(self, a: float, b: float) -> float:
-        """Closed-form probability mass of [a, b]."""
-        return self.cdf(b) - self.cdf(a)
+        """Mass of (-inf, x]."""
+        return float(self.bin_masses(np.array([-math.inf, x]))[0])
 
     def bin_masses(self, edges: np.ndarray) -> np.ndarray:
         """Closed-form mass of every bin between consecutive increasing
-        edges.  Each tail is differenced on its own small side (upper-tail
-        erfc right of a gaussian mean, lower-tail erfc left of it, the
-        survival function for the exponential), so tail bins keep full
-        relative precision instead of cancelling against 1."""
+        edges: the one mass formula, behind cdf, the captured-mass check and
+        entropy_integral.  Each tail is differenced on its own small side
+        (upper-tail erfc right of a gaussian mean, lower-tail erfc left of
+        it, the survival function for the exponential), so tail bins keep
+        full relative precision instead of cancelling against 1."""
         edges = np.asarray(edges, dtype=float)
         if self.family is DensityFamily.UNIFORM:
             a, b = self.params["a"], self.params["b"]
             return np.diff(np.clip(edges, a, b)) / (b - a)
         if self.family is DensityFamily.GAUSSIAN:
             mu, sigma = self.params["mu"], self.params["sigma"]
-            t = ((edges - mu) / (sigma * SQRT2)).tolist()
-            upper = np.array([math.erfc(v) for v in t])  # 2 P(X > x)
-            lower = np.array([math.erfc(-v) for v in t])  # 2 P(X < x)
-            right = edges[:-1] >= mu
-            return 0.5 * np.where(right, upper[:-1] - upper[1:], lower[1:] - lower[:-1])
+            t = (edges - mu) / (sigma * SQRT2)
+            # 2 P(X beyond x), on x's own side of the mean: one erfc per
+            # edge, and the complement 2 - e only on the bulk side
+            e = np.fromiter(map(math.erfc, np.abs(t).tolist()), float, t.size)
+            right = t >= 0
+            upper = np.where(right, e, 2.0 - e)  # 2 P(X > x)
+            lower = np.where(right, 2.0 - e, e)  # 2 P(X < x)
+            return 0.5 * np.where(right[:-1], upper[:-1] - upper[1:], lower[1:] - lower[:-1])
         rate = self.params["rate"]
         x = np.maximum(edges, 0.0)
         return np.exp(-rate * x[:-1]) * -np.expm1(-rate * np.diff(x))
@@ -263,11 +259,10 @@ class DensitySpec:
         """Closed form of -integral f ln f over the support, together with
         the mass M the support captures (1 up to the truncated tails)."""
         lo, hi = self.support
+        m = float(self.bin_masses(np.array([lo, hi]))[0])
         if self.family is DensityFamily.UNIFORM:
             a, b = self.params["a"], self.params["b"]
-            m = (min(hi, b) - max(lo, a)) / (b - a)
             return m * math.log(b - a), m
-        m = float(self.bin_masses(np.array([lo, hi]))[0])
         if self.family is DensityFamily.GAUSSIAN:
             # -ln f = ln sigma + ln sqrt(2 pi) + z^2/2, and the integral of
             # z^2 phi(z) over [za, zb] is M - [z phi(z)] from za to zb
@@ -304,9 +299,6 @@ class DensitySpec:
     @classmethod
     def exponential(cls, rate: float) -> "DensitySpec":
         return cls(DensityFamily.EXPONENTIAL, {"rate": rate})
-
-    def to_json_obj(self) -> dict[str, Any]:
-        return {"family": self.family.value, **self.params}
 
 
 def _require_keys(params: dict[str, float], keys: tuple[str, ...]) -> None:
@@ -382,7 +374,13 @@ def renormalize(probs, tolerance: float = DEFAULT_TOLERANCE) -> DiscreteDistribu
     arr = float_vector(probs, "probs")
     if np.any(arr < 0):
         raise NegativeProbability(f"negative probability entry {float(arr.min())}")
-    total = math.fsum(arr.tolist())
+    try:
+        total = math.fsum(arr.tolist())
+    except OverflowError:
+        # the sum passes the largest double; 2^-s with 2^s > n brings it back
+        # in range, and scales exactly every entry large enough to matter
+        arr = np.ldexp(arr, -arr.size.bit_length())
+        total = math.fsum(arr.tolist())
     if total <= 0:
         raise NotNormalized("cannot renormalize: total mass is zero")
     return DiscreteDistribution(arr / total, tolerance=tolerance)
@@ -537,12 +535,4 @@ def density_from_json(text_or_obj) -> DensitySpec:
     if not isinstance(obj, dict) or "family" not in obj:
         raise ValidationError('density JSON must be an object with a "family" key')
     obj = dict(obj)
-    family = obj.pop("family")
-    try:
-        fam = DensityFamily(family)
-    except ValueError:
-        raise ValidationError(
-            f"unknown density family {family!r}; expected one of "
-            f"{[f.value for f in DensityFamily]}"
-        ) from None
-    return DensitySpec(fam, obj)
+    return DensitySpec(obj.pop("family"), obj)

@@ -26,6 +26,8 @@ import numpy as np
 
 from .distributions import (
     BLOCK_ELEMENTS,
+    LN2,
+    SQRT2,
     DensitySpec,
     EntropyValue,
     check_count,
@@ -36,6 +38,8 @@ from .distributions import (
     segment_fsums,
 )
 from .errors import InvalidDensity, NonPositiveWidth, ValidationError
+
+FOUR_PI_3 = 4.0 * math.pi / 3.0
 
 MAXENT_SLACK = 1e-12
 # how far sum(w_i f_i) of a shell density may stray from 1
@@ -126,10 +130,19 @@ def sackur_tetrode_entropy(spec: ShellSpec, k: float = 1.0) -> EntropyValue:
     shell-volume path."""
     check_positive(k, "k")
     n = spec.N
-    arg = (spec.V / n) * (
-        4.0 * math.pi * spec.m * spec.E / (3.0 * n * spec.planck_h**2)
-    ) ** 1.5
-    return EntropyValue.from_k(k * n * (math.log(arg) + 2.5), k)
+    # the bracket overflows (E = 1e300, h = 1e-10) or underflows (V = 1e-300,
+    # h = 1e10) where its log is unremarkable, so it is formed as a mantissa
+    # product times 2^e and S/(N k) is ln(mantissa) + e ln 2 + 5/2; unlike one
+    # log per input, the product keeps full accuracy where those logs cancel
+    (fv, ev), (fn, en), (fe, ee), (fm, em), (fh, eh) = (
+        math.frexp(x) for x in (spec.V, n, spec.E, spec.m, spec.planck_h)
+    )
+    ex = ee + em - en - 2 * eh  # 4 pi m E / (3 N h^2) = r 2^ex
+    r = FOUR_PI_3 * fm * fe / (fn * fh * fh)
+    half, odd = divmod(ex, 2)  # (2^ex)^(3/2) = 2^(ex + half) sqrt(2)^odd
+    mantissa = fv / fn * r**1.5 * (SQRT2 if odd else 1.0)
+    ln_bracket = math.log(mantissa) + (ev - en + ex + half) * LN2
+    return EntropyValue.from_k(k * n * (ln_bracket + 2.5), k)
 
 
 # -- maximum-entropy check on the discretized shell ----------------------------

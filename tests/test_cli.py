@@ -101,6 +101,12 @@ class TestRunOutputs:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(math.log(2.0), abs=1e-15)
 
+    def test_renormalize_overflowing_weights(self):
+        # the weights sum past the largest double
+        code, out, _ = invoke(["discrete", "--probs", "[1e308,1e308]", "--renormalize"])
+        assert code == 0
+        assert strict_json(out)["value"] == math.log(2.0)
+
     def test_renormalize_reads_the_probs_object(self):
         code, out, _ = invoke(["discrete", "--probs", '{"probs":[1,3]}', "--renormalize"])
         assert code == 0
@@ -201,6 +207,23 @@ class TestRunOutputs:
         assert set(body) == {"lnOmega", "S", "S_sackur_tetrode", "rel_diff"}
         assert body["rel_diff"] == pytest.approx(0.007155662091160249, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "gas, s_sackur_tetrode",
+        [
+            (["--E", "1e300", "--dE", "1", "--V", "1", "--N", "1", "--planck-h", "1e-10"],
+             1109.8894625745937),
+            (["--E", "1e-300", "--dE", "1e-300", "--V", "1e-300", "--N", "1",
+              "--planck-h", "1e10"], -1791.3677545979039),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:shell thickness")
+    def test_statmech_ideal_gas_at_float_extremes(self, gas, s_sackur_tetrode):
+        # the Sackur-Tetrode bracket over- and underflows a float here
+        code, out, _ = invoke(["statmech", "ideal-gas", *gas, "--indistinguishable"])
+        assert code == 0
+        body = strict_json(out)
+        assert body["S_sackur_tetrode"] == pytest.approx(s_sackur_tetrode, rel=1e-14)
+
     def test_statmech_compare_with_ln_omega(self):
         code, out, _ = invoke(
             ["statmech", "compare", "--E", "1", "--dE", "0.001", "--V", "1", "--N", "1",
@@ -238,13 +261,17 @@ class TestRunOutputs:
 
 COMPARE = ["statmech", "compare", "--E", "1", "--dE", "0.01", "--V", "1", "--N", "1"]
 
+#: a probability object with a Latin-1 byte in it
+NOT_UTF8 = str(Path(__file__).parent / "data" / "not_utf8.json")
+
 
 def density(params):
     return ["differential", "--density", "{" + params + "}"]
 
 
 #: bad data: non-finite or non-numeric parameters, results that overflow,
-#: grids too fine to allocate; each must exit 65 with strict-JSON stdout
+#: grids too fine to allocate, an input file that is not UTF-8; each must
+#: exit 65 with strict-JSON stdout
 BAD_VALUES = {
     "sigma-nan": density('"family":"gaussian","mu":0,"sigma":NaN'),
     "sigma-inf": density('"family":"gaussian","mu":0,"sigma":Infinity'),
@@ -271,6 +298,7 @@ BAD_VALUES = {
     "compare-ln-omega-nan": [*COMPARE, "--ln-omega", "nan"],
     "compare-ln-omega-inf": [*COMPARE, "--ln-omega", "inf"],
     "compare-ln-omega-minus-inf": [*COMPARE, "--ln-omega=-inf"],
+    "input-not-utf8": ["discrete", "--input", NOT_UTF8],
 }
 
 

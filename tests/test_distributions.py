@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -68,6 +69,15 @@ class TestValidateDistribution:
     def test_renormalize_is_explicit(self):
         d = renormalize([2.0, 2.0])
         np.testing.assert_allclose(d.probs, [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "weights", [[1e308, 1e308], [1.7e308, 1e308, 3e307, 1e-300, 0.0, 5.0]]
+    )
+    def test_renormalize_when_the_sum_overflows(self, weights):
+        with mpmath.workprec(2200):  # every sum of these doubles is exact
+            total = mpmath.fsum(weights)
+            ref = [float(mpmath.mpf(w) / total) for w in weights]
+        np.testing.assert_allclose(renormalize(weights).probs, ref, rtol=1e-15, atol=0.0)
 
     def test_tolerance_is_configurable(self):
         probs = [0.5, 0.5 + 1e-7]
@@ -152,7 +162,7 @@ class TestDensitySpec:
         f = DensitySpec.gaussian(0.0, 1.0)
         lo, hi = f.support
         assert lo == -hi
-        assert f.mass(lo, hi) >= 1 - 1e-9
+        assert f.bin_masses(np.array([lo, hi]))[0] >= 1 - 1e-9
 
     def test_exponential_left_edge_is_zero(self):
         f = DensitySpec.exponential(2.0)
@@ -180,6 +190,10 @@ class TestDensitySpec:
             DensitySpec(
                 "gaussian", {"mu": 0.0, "sigma": 1.0}, support=(-1.0, 1.0)
             )
+
+    def test_unknown_family_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="unknown density family 'bogus'"):
+            DensitySpec("bogus", {})
 
     def test_json_parsing(self):
         f = density_from_json('{"family": "exponential", "rate": 1.5}')

@@ -89,7 +89,7 @@ class TestQuantizeDensity:
         r = quantize_density(f, 0.25)
         left = r.binned.values - r.h / 2.0
         for x, p in zip(left[::7], r.binned.probs[::7]):
-            assert p == pytest.approx(f.mass(x, x + r.h), abs=1e-10)
+            assert p == pytest.approx(oracle_bin_mass(f, x, x + r.h), abs=1e-10)
 
     @pytest.mark.parametrize("f", [DensitySpec.gaussian(0.0, 1.0), DensitySpec.exponential(1.0)])
     @pytest.mark.parametrize("h", [1 / 64, 1 / 1024])
@@ -104,6 +104,34 @@ class TestQuantizeDensity:
             x, m = float(r.binned.values[i]), float(r.binned.probs[i])
             ref = oracle_bin_mass(f, x - h / 2, x + h / 2)
             assert abs(m - ref) <= 1e-11 * ref, (i, m, ref)
+
+    @pytest.mark.parametrize(
+        "f",
+        [DensitySpec.gaussian(0.0, 1.0), DensitySpec.gaussian(0.5, 2.0),
+         DensitySpec.gaussian(-3.0, 1e-3)],
+    )
+    def test_bins_across_the_mean_match_high_precision_oracle(self, f):
+        # a bin holding the mean takes its right edge's mass on the bulk
+        # side, as the complement 2 - erfc
+        mu, sigma = f.params["mu"], f.params["sigma"]
+        for a, b in [(-2.0, 0.1), (-0.3, 0.7), (-1e-3, 1e-3), (-1e-9, 0.5), (0.0, 0.5),
+                     (-6.0, 6.0)]:
+            edges = np.array([mu + a * sigma, mu + b * sigma])
+            m, ref = float(f.bin_masses(edges)[0]), oracle_bin_mass(f, *edges)
+            assert abs(m - ref) <= 1e-11 * ref, (a, b, m, ref)
+
+    @pytest.mark.parametrize(
+        "f", [DensitySpec.gaussian(0.0, 1.0), DensitySpec.gaussian(-3.0, 1e-3)]
+    )
+    @pytest.mark.parametrize("z", [-8.5, -2.5, -1e-3, 0.0, 1e-12, 1e-3, 0.3, 1.0, 2.5, 7.0, 8.5])
+    def test_cdf_matches_high_precision_oracle(self, f, z):
+        # right of the mean cdf is 1 - erfc/2, the complement on the bulk
+        # side; left of it, erfc's own tail, which is good to a few ulps of
+        # erfc (9e-15 relative at z = -8.5)
+        x = f.params["mu"] + z * f.params["sigma"]
+        ref = oracle_bin_mass(f, -math.inf, x)
+        bound = 1e-15 if z >= 0 else 1e-13
+        assert abs(f.cdf(x) - ref) <= bound * ref, (f.cdf(x), ref)
 
     @pytest.mark.parametrize("f", [DensitySpec.gaussian(0.0, 1.0), DensitySpec.exponential(1.0)])
     @pytest.mark.parametrize("h", [0.5, 1 / 64, 1 / 1024])

@@ -145,6 +145,32 @@ class TestBoltzmannEntropy:
         rel = abs(s - st_) / st_
         assert rel == pytest.approx(0.007155662091160249, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "E, V, N, planck_h, m",
+        [
+            (150.0, 1000.0, 100, 1.0, 1.0),
+            (1.0, 1.0, 1, 1.0, 1.0),
+            # the bracket overflows, and underflows, as a plain float
+            (1e300, 1.0, 1, 1e-10, 1.0),
+            (1e-300, 1e-300, 1, 1e10, 1.0),
+            (2e-200, 3e210, 1000, 1e-195, 5e-5),
+            # argon near room conditions, in SI units
+            (155.25, 1e-3, 25 * 10**21, 6.62607015e-34, 6.63e-26),
+            # logs of about 700 that cancel to a small entropy: one log per
+            # input loses about 1e-14 here
+            (1e200, 1e-300, 1, 1.0, 1.0),
+            (1e300, 1e-300, 3, 1e50, 1.0),
+        ],
+    )
+    def test_sackur_tetrode_matches_mpmath(self, E, V, N, planck_h, m):
+        spec = ShellSpec(E=E, dE=E / 100.0, V=V, N=N, m=m, planck_h=planck_h)
+        with mpmath.workdps(40):
+            E_, V_, N_, h_, m_ = (mpmath.mpf(x) for x in (E, V, N, planck_h, m))
+            bracket = V_ / N_ * (4 * mpmath.pi * m_ * E_ / (3 * N_ * h_**2)) ** 1.5
+            ref = N_ * (mpmath.log(bracket) + 2.5)
+            got = sackur_tetrode_entropy(spec).value
+            assert abs((got - ref) / ref) <= 1e-14, (got, float(ref))
+
     def test_k_scaling_is_exact(self):
         spec = ShellSpec(E=10.0, dE=0.1, V=5.0, N=3)
         assert boltzmann_entropy(spec, 2.0).value == 2.0 * boltzmann_entropy(spec, 1.0).value
