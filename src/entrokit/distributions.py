@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import NormalDist
@@ -35,6 +36,11 @@ TRUNCATION_EPS = 1e-13
 # amortize, few enough that a block's arrays and term lists stay small.
 BLOCK_ELEMENTS = 4096
 
+# Most elements one row may hold: the bins of one grid, the joint
+# distribution of one suite pair (32 MiB per float array).  Checked before
+# anything of that size is allocated.
+MAX_ROW = 2**22
+
 UNIT_ROUNDOFF = 2.0**-53
 
 LN2 = math.log(2.0)
@@ -52,10 +58,13 @@ def check_positive(
     return x
 
 
-def check_count(x, name: str, least: int) -> int:
-    """The one check for every count: an integer no smaller than `least`."""
+def check_count(x, name: str, least: int, most: float | None = None) -> int:
+    """The one check for every count: an integer no smaller than `least`
+    and, when `most` is given, no larger than it."""
     if not (isinstance(x, (int, np.integer)) and x >= least):
         raise ValidationError(f"{name} must be an integer >= {least}, got {x!r}")
+    if most is not None and x > most:
+        raise ValidationError(f"{name} must be an integer <= {most}, got {x!r}")
     return int(x)
 
 
@@ -63,7 +72,10 @@ def float_vector(x, name: str) -> np.ndarray:
     """The one check for every stored vector: non-empty, 1-D and finite."""
     # always a fresh array: carriers freeze their storage, which must never
     # reach back into caller-owned buffers
-    arr = np.array(x, dtype=float, copy=True)
+    try:
+        arr = np.array(x, dtype=float, copy=True)
+    except OverflowError:
+        raise ValidationError(f"{name} holds an integer beyond the float range") from None
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be a 1-D sequence, got shape {arr.shape}")
     if arr.size == 0:
@@ -90,15 +102,7 @@ class DiscreteDistribution:
         object.__setattr__(self, "probs", probs)
         if not (0 < self.tolerance < 1):
             raise ValidationError(f"tolerance must be in (0, 1), got {self.tolerance}")
-        if np.any(probs < 0):
-            worst = float(probs.min())
-            raise NegativeProbability(f"negative probability entry {worst}")
-        total = math.fsum(probs.tolist())
-        if abs(total - 1.0) > self.tolerance:
-            raise NotNormalized(
-                f"probabilities sum to {total}, off by {total - 1.0:+.3e} "
-                f"(tolerance {self.tolerance:.1e})"
-            )
+        check_probability_rows(probs, np.array([0, probs.size]), self.tolerance)
 
     @property
     def n(self) -> int:
@@ -314,33 +318,28 @@ class EntropyUnit(str, Enum):
 
 @dataclass(frozen=True)
 class EntropyValue:
-    """An entropy together with the unit constant k that produced it
-    (k = 1 for nats, k = 1/ln 2 for bits)."""
+    """An entropy together with the unit constant k that produced it.  The
+    one check of k is here, and the unit is read off k: nats for k = 1,
+    bits for k = 1/ln 2, custom otherwise.  A unit may be passed too, but
+    only the one k gives."""
 
     value: float
     k: float
-    unit: EntropyUnit
+    unit: EntropyUnit | None = None
 
     def __post_init__(self) -> None:
         check_positive(self.k, "k")
         if not math.isfinite(self.value):
             raise ValidationError(f"entropy value must be finite, got {self.value}")
-        unit = EntropyUnit(self.unit)
-        object.__setattr__(self, "unit", unit)
-        if unit is EntropyUnit.NATS and abs(self.k - 1.0) > 1e-12:
-            raise ValidationError(f"nats requires k = 1, got {self.k}")
-        if unit is EntropyUnit.BITS and abs(self.k - BITS_K) > 1e-12:
-            raise ValidationError(f"bits requires k = 1/ln 2, got {self.k}")
-
-    @classmethod
-    def from_k(cls, value: float, k: float) -> "EntropyValue":
-        if k == 1.0:
+        if self.k == 1.0:
             unit = EntropyUnit.NATS
-        elif abs(k - BITS_K) <= 1e-12:
+        elif abs(self.k - BITS_K) <= 1e-12:
             unit = EntropyUnit.BITS
         else:
             unit = EntropyUnit.CUSTOM
-        return cls(value=value, k=k, unit=unit)
+        if self.unit is not None and EntropyUnit(self.unit) is not unit:
+            raise ValidationError(f"k = {self.k} gives {unit.value}, not {self.unit}")
+        object.__setattr__(self, "unit", unit)
 
     def to_json_obj(self) -> dict[str, Any]:
         return {"value": self.value, "unit": self.unit.value}
@@ -366,7 +365,7 @@ def validate_distribution(
     Raises NegativeProbability or NotNormalized on bad input.  Rescaling is
     the caller's explicit decision (see `renormalize`).
     """
-    return DiscreteDistribution(np.asarray(probs, dtype=float), tolerance=tolerance)
+    return DiscreteDistribution(probs, tolerance=tolerance)
 
 
 def renormalize(probs, tolerance: float = DEFAULT_TOLERANCE) -> DiscreteDistribution:
@@ -466,18 +465,31 @@ def normalized_rows(flat: np.ndarray, offsets: np.ndarray, tolerance) -> np.ndar
     )
 
 
-def check_probability_rows(flat: np.ndarray, offsets: np.ndarray, tolerance) -> None:
-    """The DiscreteDistribution checks on every row of a block at once:
-    finite, nonnegative and normalized, decided as the carrier decides.  The
-    first row that fails is built as a carrier, which raises its own error."""
+def probability_rows_ok(flat: np.ndarray, offsets: np.ndarray, tolerance) -> np.ndarray:
+    """The one decision of a probability vector, for every row of a block:
+    finite, nonnegative and |fsum(row) - 1| <= tolerance (a scalar or one
+    per row)."""
     good = np.isfinite(flat) & (flat >= 0)
-    ok = np.logical_and.reduceat(good, offsets[:-1]) & normalized_rows(
+    return np.logical_and.reduceat(good, offsets[:-1]) & normalized_rows(
         np.where(good, flat, 0.0), offsets, tolerance
     )
-    if not ok.all():
-        i = int(np.argmin(ok))
-        tol = float(np.broadcast_to(tolerance, ok.shape)[i])
-        DiscreteDistribution(flat[offsets[i]:offsets[i + 1]], tolerance=tol)
+
+
+def check_probability_rows(flat: np.ndarray, offsets: np.ndarray, tolerance) -> None:
+    """probability_rows_ok on every row of a block at once.  The first row
+    that fails raises the error that DiscreteDistribution documents for it."""
+    ok = probability_rows_ok(flat, offsets, tolerance)
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    row = float_vector(flat[offsets[i]:offsets[i + 1]], "probs")  # raises if not finite
+    if np.any(row < 0):
+        raise NegativeProbability(f"negative probability entry {float(row.min())}")
+    total = math.fsum(row.tolist())
+    tol = float(np.broadcast_to(tolerance, ok.shape)[i])
+    raise NotNormalized(
+        f"probabilities sum to {total}, off by {total - 1.0:+.3e} (tolerance {tol:.1e})"
+    )
 
 
 # -- JSON input parsing (shared wire formats) ---------------------------------
@@ -492,6 +504,24 @@ def _load_json(text_or_obj):
     return text_or_obj
 
 
+def _numbers(values, name: str):
+    """`values` as it is, when it is an array of reals: JSON numbers, or
+    numpy reals from a library caller, but never a bool or a string that
+    looks like a number."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iuf":
+            raise ValidationError(f"{name} must be reals, got an array of {values.dtype}")
+        return values
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"{name} must be a JSON array of reals")
+    odd = {t for t in set(map(type, values)) - {int, float}
+           if issubclass(t, bool) or not issubclass(t, numbers.Real)}
+    if odd:
+        x = next(x for x in values if type(x) in odd)
+        raise ValidationError(f"{name} must be reals written as JSON numbers, got {x!r:.40}")
+    return values
+
+
 def probs_from_json(text_or_obj) -> list:
     """The raw probability list of {"probs": [...]} or a bare JSON array,
     unvalidated, so the caller decides between checking and rescaling."""
@@ -502,7 +532,7 @@ def probs_from_json(text_or_obj) -> list:
         obj = obj["probs"]
     if not isinstance(obj, list):
         raise ValidationError("distribution JSON must be an array or {probs: [...]}")
-    return obj
+    return _numbers(obj, "probs")
 
 
 def discrete_from_json(
@@ -520,12 +550,9 @@ def binned_from_json(text_or_obj, tolerance: float = DEFAULT_TOLERANCE) -> Binne
     missing = {"values", "probs", "widths"} - set(obj)
     if missing:
         raise ValidationError(f"binned variable JSON missing keys {sorted(missing)}")
-    dist = validate_distribution(obj["probs"], tolerance=tolerance)
-    return BinnedVariable(
-        values=np.asarray(obj["values"], dtype=float),
-        dist=dist,
-        widths=np.asarray(obj["widths"], dtype=float),
-    )
+    values, probs, widths = (_numbers(obj[key], key) for key in ("values", "probs", "widths"))
+    dist = validate_distribution(probs, tolerance=tolerance)
+    return BinnedVariable(values=values, dist=dist, widths=widths)
 
 
 def density_from_json(text_or_obj) -> DensitySpec:
@@ -535,4 +562,6 @@ def density_from_json(text_or_obj) -> DensitySpec:
     if not isinstance(obj, dict) or "family" not in obj:
         raise ValidationError('density JSON must be an object with a "family" key')
     obj = dict(obj)
-    return DensitySpec(obj.pop("family"), obj)
+    family = obj.pop("family")
+    _numbers(list(obj.values()), "density parameters")
+    return DensitySpec(family, obj)

@@ -19,6 +19,7 @@ import numpy as np
 from .distributions import (
     BLOCK_ELEMENTS,
     DEFAULT_TOLERANCE,
+    MAX_ROW,
     BinnedVariable,
     DiscreteDistribution,
     EntropyValue,
@@ -38,28 +39,21 @@ PINSKER_SLACK = 1e-12
 
 
 def entropy_rows(flat: np.ndarray, offsets: np.ndarray, k: float = 1.0) -> list[float]:
-    """-k * sum(p_i ln p_i) of every row of a block, each the exact fsum
-    that shannon_entropy gives for that row alone."""
+    """-k * fsum(p_i ln p_i) of every row of a block, zero entries
+    contributing exactly 0: the one Shannon sum."""
     pos = flat > 0
     x = flat[pos]
     kept = np.concatenate(([0], np.cumsum(pos)))[offsets]
     values = [k * s for s in segment_fsums(-x * np.log(x), kept)]
     for v in values:
         if not math.isfinite(v):
-            EntropyValue.from_k(v, k)  # raises: the value has overflowed
+            EntropyValue(v, k)  # raises: k is bad or the value has overflowed
     return values
-
-
-def _neg_plogp_terms(probs: np.ndarray) -> list[float]:
-    pos = probs[probs > 0]
-    return (-pos * np.log(pos)).tolist()
 
 
 def shannon_entropy(p: DiscreteDistribution, k: float = 1.0) -> EntropyValue:
     """-k * sum(p_i ln p_i), with zero entries contributing exactly 0."""
-    check_positive(k, "k")
-    value = k * math.fsum(_neg_plogp_terms(p.probs))
-    return EntropyValue.from_k(value, k)
+    return EntropyValue(entropy_rows(p.probs, np.array([0, p.n]), k)[0], k)
 
 
 @dataclass(frozen=True)
@@ -112,12 +106,11 @@ def phi_entropy(p: DiscreteDistribution, phi: PhiFunction) -> float:
 def total_entropy(v: BinnedVariable, k: float = 1.0) -> EntropyValue:
     """-k * sum(p_i ln(p_i / h_i)): Shannon entropy plus the expected
     post-observational uncertainty k ln h_i per interval."""
-    check_positive(k, "k")
     p = v.probs
     h = v.widths
     mask = p > 0
     terms = (-p[mask] * (np.log(p[mask]) - np.log(h[mask]))).tolist()
-    return EntropyValue.from_k(k * math.fsum(terms), k)
+    return EntropyValue(k * math.fsum(terms), k)
 
 
 def additivity_defect(
@@ -324,13 +317,18 @@ def run_axiom_suite(
     over products, concavity on the simplex, and Schur concavity.
 
     The corpus is drawn in same-length pairs so each pair feeds both the
-    concavity mixture test and the per-distribution checks.
+    concavity mixture test and the per-distribution checks, so
+    n_distributions must be even.  No row may hold more than MAX_ROW
+    elements; a joint distribution holds up to max_n**2.
     """
     check_positive(k, "k")
     check_count(n_distributions, "n_distributions", 2)
+    if n_distributions % 2:
+        raise ValidationError(f"n_distributions must be even, got {n_distributions}")
     check_count(additivity_pairs, "additivity_pairs", 0)
     check_count(majorization_pairs, "majorization_pairs", 0)
-    check_count(max_n, "max_n", 2 if majorization_pairs > 0 else 1)
+    largest = math.isqrt(MAX_ROW) if additivity_pairs > 0 else MAX_ROW
+    check_count(max_n, "max_n", 2 if majorization_pairs > 0 else 1, largest)
     rng = np.random.default_rng(seed)
 
     min_entropy = math.inf
@@ -339,8 +337,7 @@ def run_axiom_suite(
     equality_only_at_uniform = True
 
     # rows per pair: a, b and their mixture
-    n_pairs = n_distributions // 2
-    for flat, offsets, lams in _blocks(_mixture_draws(rng, n_pairs, max_n)):
+    for flat, offsets, lams in _blocks(_mixture_draws(rng, n_distributions // 2, max_n)):
         check_probability_rows(flat, offsets, DEFAULT_TOLERANCE)
         h = entropy_rows(flat, offsets, k)
         sizes = np.diff(offsets)[0::3].tolist()
@@ -394,7 +391,7 @@ def run_axiom_suite(
     )
     return AxiomSuiteReport(
         seed=seed,
-        n_distributions=2 * n_pairs,
+        n_distributions=n_distributions,
         max_n=max_n,
         min_entropy=min_entropy,
         max_uniform_bound_excess=max_bound_excess,

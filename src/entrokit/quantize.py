@@ -9,9 +9,11 @@ Both choices leave the h -> 0 limit untouched; the second keeps symmetric
 densities symmetric about a bin center instead of an edge.
 
 Bin masses are closed-form tail differences, each taken on its small side
-(see DensitySpec.bin_masses).
-Summations use exact compensated summation (math.fsum), so results do not
-depend on evaluation order.
+(see DensitySpec.bin_masses).  A grid holds at most MAX_ROW bins, checked
+before any of it is computed.  Reported sums are exact (math.fsum), so they
+do not depend on evaluation order, and the normalization checks (the bin
+masses alone, and the masses plus the deficit) are the one row check of
+distributions.normalized_rows, which decides as fsum would.
 """
 
 from __future__ import annotations
@@ -23,20 +25,19 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import (
+    MAX_ROW,
     BinnedVariable,
     DensitySpec,
     DiscreteDistribution,
     EntropyValue,
     check_positive,
+    normalized_rows,
 )
 from .entropy import total_entropy
 from .errors import NonPositiveWidth, UnboundedSupport, ValidationError
 
 #: normalization slack allowed for quantized distributions
 QUANTIZED_TOL = 1e-8
-
-#: most bins one grid may hold (32 MiB per float array), checked before allocation
-MAX_BINS = 2**22
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,9 @@ class QuantizationResult:
         widths = self.binned.widths
         if np.any(widths != self.h):
             raise ValidationError("all bin widths must equal h")
-        total = math.fsum(self.binned.probs.tolist()) + self.mass_deficit
-        if abs(total - 1.0) > QUANTIZED_TOL:
+        row = np.append(self.binned.probs, self.mass_deficit)
+        if not normalized_rows(row, np.array([0, row.size]), QUANTIZED_TOL)[0]:
+            total = math.fsum(row.tolist())
             raise ValidationError(
                 f"bin masses plus deficit sum to {total}, off by {total - 1.0:+.3e}"
             )
@@ -81,11 +83,11 @@ class ConvergenceRow:
 
 def _grid(f: DensitySpec, h: float) -> tuple[float, int]:
     """Left edge and bin count of the width-h grid covering the truncated
-    support, per the anchoring rule above.  A grid of more than MAX_BINS
+    support, per the anchoring rule above.  A grid of more than MAX_ROW
     bins is refused before any of it is computed."""
     lo, hi = f.support
-    if (hi - lo) / h > MAX_BINS:
-        raise ValidationError(f"h = {h} cuts the support into more than {MAX_BINS} bins")
+    if (hi - lo) / h > MAX_ROW:
+        raise ValidationError(f"h = {h} cuts the support into more than {MAX_ROW} bins")
     jumps = f.discontinuities()
     if jumps:
         # anchor at the first jump; it coincides with the truncated left
@@ -133,9 +135,8 @@ def differential_entropy(f: DensitySpec, k: float = 1.0) -> EntropyValue:
     convention.  Can be negative (densities above 1 contribute negative
     uncertainty); nothing here enforces a sign.
     """
-    check_positive(k, "k")
     value, _ = f.entropy_integral()
-    return EntropyValue.from_k(k * value, k)
+    return EntropyValue(k * value, k)
 
 
 def total_entropy_from_density(f: DensitySpec, h: float, k: float = 1.0) -> EntropyValue:

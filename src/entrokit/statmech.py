@@ -34,7 +34,7 @@ from .distributions import (
     check_positive,
     float_vector,
     fsum_decides,
-    normalized_rows,
+    probability_rows_ok,
     segment_fsums,
 )
 from .errors import InvalidDensity, NonPositiveWidth, ValidationError
@@ -44,6 +44,10 @@ FOUR_PI_3 = 4.0 * math.pi / 3.0
 MAXENT_SLACK = 1e-12
 # how far sum(w_i f_i) of a shell density may stray from 1
 SHELL_TOLERANCE = 1e-9
+# most particles.  N enters as a float (N ln V, lnGamma(3N/2 + 1), 3N ln h),
+# and a log of a positive finite float is below 745 in size, so with
+# N <= 1e300 every such term stays below 1e304, clear of the float limit
+MAX_PARTICLES = 1e300
 
 
 def modified_differential_entropy(f: DensitySpec, h: float, k: float = 1.0) -> EntropyValue:
@@ -52,10 +56,9 @@ def modified_differential_entropy(f: DensitySpec, h: float, k: float = 1.0) -> E
 
     In closed form, H - M ln h, where H is the plain differential entropy
     and M the mass of the truncated support."""
-    check_positive(k, "k")
     check_positive(h, "h", NonPositiveWidth)
     value, mass = f.entropy_integral()
-    return EntropyValue.from_k(k * (value - mass * math.log(h)), k)
+    return EntropyValue(k * (value - mass * math.log(h)), k)
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class ShellSpec:
     def __post_init__(self) -> None:
         for name in ("E", "dE", "V", "m", "planck_h"):
             check_positive(getattr(self, name), name)
-        object.__setattr__(self, "N", check_count(self.N, "N", 1))
+        object.__setattr__(self, "N", check_count(self.N, "N", 1, MAX_PARTICLES))
         if self.dE / self.E > 0.1:
             warnings.warn(
                 f"shell thickness dE/E = {self.dE / self.E:.3f} is not small; "
@@ -88,11 +91,12 @@ def log_phase_ball_volume(spec: ShellSpec, energy: float | None = None) -> float
     """ln Phi(E): log phase-space volume below the given energy."""
     e = spec.E if energy is None else check_positive(energy, "energy")
     n = spec.N
-    return (
-        n * math.log(spec.V)
-        + 1.5 * n * math.log(2.0 * math.pi * spec.m * e)
-        - math.lgamma(1.5 * n + 1.0)
-    )
+    # 2 pi m E over- or underflows (m = E = 1e200, or 1e-200) where its log
+    # does not, so it is formed as a mantissa product times 2^e, as
+    # sackur_tetrode_entropy forms its bracket
+    (fm, em), (fe, ee) = math.frexp(spec.m), math.frexp(e)
+    ln_2pi_m_e = math.log(2.0 * math.pi * fm * fe) + (em + ee) * LN2
+    return n * math.log(spec.V) + 1.5 * n * ln_2pi_m_e - math.lgamma(1.5 * n + 1.0)
 
 
 def log_phase_shell_volume(spec: ShellSpec) -> float:
@@ -113,11 +117,10 @@ def log_phase_shell_volume(spec: ShellSpec) -> float:
 
 def boltzmann_entropy(spec: ShellSpec, k: float = 1.0) -> EntropyValue:
     """S = k ln(Omega / C^N), with ln N! via lnGamma(N + 1)."""
-    check_positive(k, "k")
     s = log_phase_shell_volume(spec) - 3.0 * spec.N * math.log(spec.planck_h)
     if spec.indistinguishable:
         s -= math.lgamma(spec.N + 1.0)
-    return EntropyValue.from_k(k * s, k)
+    return EntropyValue(k * s, k)
 
 
 def sackur_tetrode_entropy(spec: ShellSpec, k: float = 1.0) -> EntropyValue:
@@ -128,7 +131,6 @@ def sackur_tetrode_entropy(spec: ShellSpec, k: float = 1.0) -> EntropyValue:
     i.e. the Stirling-approximated large-N limit of boltzmann_entropy.
     Serves as the independent cross-check the CLI reports alongside the
     shell-volume path."""
-    check_positive(k, "k")
     n = spec.N
     # the bracket overflows (E = 1e300, h = 1e-10) or underflows (V = 1e-300,
     # h = 1e10) where its log is unremarkable, so it is formed as a mantissa
@@ -142,7 +144,7 @@ def sackur_tetrode_entropy(spec: ShellSpec, k: float = 1.0) -> EntropyValue:
     half, odd = divmod(ex, 2)  # (2^ex)^(3/2) = 2^(ex + half) sqrt(2)^odd
     mantissa = fv / fn * r**1.5 * (SQRT2 if odd else 1.0)
     ln_bracket = math.log(mantissa) + (ev - en + ex + half) * LN2
-    return EntropyValue.from_k(k * n * (ln_bracket + 2.5), k)
+    return EntropyValue(k * n * (ln_bracket + 2.5), k)
 
 
 # -- maximum-entropy check on the discretized shell ----------------------------
@@ -164,11 +166,8 @@ class DiscretizedShellDensity:
             raise ValidationError(f"{w.size} cell volumes but {f.size} densities")
         if np.any(w <= 0):
             raise ValidationError("cell volumes must be positive")
-        if np.any(f < 0):
-            raise InvalidDensity("densities must be nonnegative")
-        total = math.fsum((w * f).tolist())
-        if abs(total - 1.0) > SHELL_TOLERANCE:
-            raise InvalidDensity(f"sum(w_i f_i) = {total}, off by {total - 1.0:+.3e}")
+        if not _shell_rows_ok(w, f[None, :])[0]:
+            _raise_shell_row_error(w, f)
         w.setflags(write=False)
         f.setflags(write=False)
         object.__setattr__(self, "cell_volumes", w)
@@ -181,25 +180,37 @@ class DiscretizedShellDensity:
         return cls(w, np.full(w.size, 1.0 / total))
 
 
+def _shell_rows_ok(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The one shell-density check, for every row of densities f on cells
+    w > 0: probability_rows_ok on the rows w*f, but with a negative f kept
+    as it is, lest w*f round it to -0.0."""
+    weighted = np.where(f < 0, f, w * f).ravel()
+    return probability_rows_ok(weighted, np.arange(len(f) + 1) * w.size, SHELL_TOLERANCE)
+
+
+def _raise_shell_row_error(w: np.ndarray, f: np.ndarray) -> None:
+    """Raise DiscretizedShellDensity's error for a row _shell_rows_ok rejects."""
+    float_vector(f, "densities")  # raises if not finite
+    if np.any(f < 0):
+        raise InvalidDensity("densities must be nonnegative")
+    total = math.fsum((w * f).tolist())
+    raise InvalidDensity(f"sum(w_i f_i) = {total}, off by {total - 1.0:+.3e}")
+
+
+def _shell_terms(w: np.ndarray, f: np.ndarray, C: float) -> np.ndarray:
+    """-w_i f_i ln(C f_i) for every cell of every row of densities f, and 0
+    for an empty cell: the terms of the one shell-entropy sum."""
+    pos = f > 0
+    terms = np.zeros(f.shape)
+    terms[pos] = -np.broadcast_to(w, f.shape)[pos] * f[pos] * np.log(C * f[pos])
+    return terms
+
+
 def shell_entropy(d: DiscretizedShellDensity, C: float, k: float = 1.0) -> float:
     """Discretized S = -k sum(w_i f_i ln(C f_i)); empty cells contribute 0."""
     check_positive(k, "k")
     check_positive(C, "C")
-    w = d.cell_volumes
-    f = d.densities
-    mask = f > 0
-    terms = (-w[mask] * f[mask] * np.log(C * f[mask])).tolist()
-    return k * math.fsum(terms)
-
-
-def _entropy_above(w: np.ndarray, f: np.ndarray, C: float, k: float, threshold: float) -> bool:
-    """Whether the shell entropy of any row of densities f exceeds
-    threshold, each decided as its fsum would decide it."""
-    pos = f > 0
-    terms = np.zeros(f.shape)
-    terms[pos] = -np.broadcast_to(w, f.shape)[pos] * f[pos] * np.log(C * f[pos])
-    offsets = np.arange(len(f) + 1) * w.size
-    return bool(fsum_decides(terms.ravel(), offsets, lambda s: k * s > threshold).any())
+    return k * math.fsum(_shell_terms(d.cell_volumes, d.densities, C).tolist())
 
 
 @dataclass(frozen=True)
@@ -226,6 +237,7 @@ def maxent_shell_check(
     trial's shell-density checks and its entropy test decide exactly as
     fsum would.
     """
+    check_count(trials, "trials", 1)
     entropy = shell_entropy(d, C, k)
     uniform = DiscretizedShellDensity.uniform(d.cell_volumes)
     threshold = shell_entropy(uniform, C, k) + MAXENT_SLACK
@@ -243,16 +255,14 @@ def maxent_shell_check(
         offsets = np.arange(rows + 1) * m
         candidate = raw / np.array(segment_fsums((w * raw).ravel(), offsets))[:, None]
         mixed = (1.0 - t) * uniform.densities + t * candidate
-        # the DiscretizedShellDensity checks on every row, decided as it decides
-        good = np.isfinite(mixed) & (mixed >= 0)
-        weighted = np.where(good, w * mixed, 0.0).ravel()
-        ok = good.all(axis=1) & normalized_rows(weighted, offsets, SHELL_TOLERANCE)
+        ok = _shell_rows_ok(w, mixed)
         bad = None if ok.all() else int(np.argmin(ok))
         valid = mixed[:bad]
-        if valid.size and _entropy_above(w, valid, C, k, threshold):
+        terms = _shell_terms(w, valid, C).ravel()
+        if fsum_decides(terms, offsets[: len(valid) + 1], lambda s: k * s > threshold).any():
             return MaxentReport(entropy=entropy, is_maximal=False)
         if bad is not None:
-            DiscretizedShellDensity(w, mixed[bad])  # raises this carrier's own error
+            _raise_shell_row_error(w, mixed[bad])
     return MaxentReport(entropy=entropy, is_maximal=True)
 
 
@@ -301,11 +311,11 @@ def compare_entropy_forms(
     """Evaluate both expressions from a known log shell volume."""
     check_positive(k, "k")
     check_positive(planck_h, "planck_h")
-    check_count(N, "N", 1)
+    check_count(N, "N", 1, MAX_PARTICLES)
     if not math.isfinite(ln_omega):
         raise ValidationError(f"ln_omega must be finite, got {ln_omega}")
     log_cell = 3.0 * N * math.log(planck_h)
-    s_in_log = EntropyValue.from_k(k * (ln_omega - log_cell), k).value
+    s_in_log = EntropyValue(k * (ln_omega - log_cell), k).value
 
     sign = int(math.copysign(1.0, ln_omega)) if ln_omega != 0.0 else 0
     if ln_omega == 0.0:

@@ -7,9 +7,10 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import mpmath
 import pytest
 
-from entrokit import cli
+from entrokit import cli, entropy
 
 
 def invoke(argv):
@@ -260,6 +261,7 @@ class TestRunOutputs:
 
 
 COMPARE = ["statmech", "compare", "--E", "1", "--dE", "0.01", "--V", "1", "--N", "1"]
+IDEAL_GAS = ["statmech", "ideal-gas", "--E", "1", "--dE", "0.01", "--V", "1"]
 
 #: a probability object with a Latin-1 byte in it
 NOT_UTF8 = str(Path(__file__).parent / "data" / "not_utf8.json")
@@ -299,6 +301,17 @@ BAD_VALUES = {
     "compare-ln-omega-inf": [*COMPARE, "--ln-omega", "inf"],
     "compare-ln-omega-minus-inf": [*COMPARE, "--ln-omega=-inf"],
     "input-not-utf8": ["discrete", "--input", NOT_UTF8],
+    # the wire takes only JSON numbers
+    "probs-bools": ["discrete", "--probs", "[true,false]"],
+    "probs-strings": ["discrete", "--probs", '["0.5","0.5"]'],
+    "probs-strings-renormalize": ["discrete", "--probs", '["0.5","0.5"]', "--renormalize"],
+    "probs-400-digit-integer": ["discrete", "--probs", "[1" + "0" * 400 + ",0]"],
+    "widths-bool": ["total", "--data", '{"values":[0,1],"probs":[0.5,0.5],"widths":[true,1]}'],
+    "params-string-and-bool": density('"family":"gaussian","mu":"0","sigma":true'),
+    # counts out of range
+    "axioms-n-dists-3": ["axioms", "--n-dists", "3"],
+    "ideal-gas-N-1e400": [*IDEAL_GAS, "--N", "1" + "0" * 400],
+    "compare-N-1e400": [*COMPARE[:-2], "--N", "1" + "0" * 400],
 }
 
 
@@ -329,6 +342,29 @@ class TestExitCodes:
         assert code == 65
         assert body["error"]["kind"] == "ValidationError"
         assert body["error"]["message"]
+
+    def test_huge_max_n_is_refused_before_any_draw(self, monkeypatch):
+        # the draw would ask for 475 GiB: fail loudly instead
+        def no_draw(rng, n):
+            raise AssertionError(f"drew a row of {n} elements")
+
+        monkeypatch.setattr(entropy, "_simplex_row", no_draw)
+        code, out, _ = invoke(["axioms", "--max-n", "100000000000", "--n-dists", "2",
+                               "--additivity-pairs", "0", "--majorization-pairs", "0"])
+        assert code == 65
+        assert "max_n must be an integer <=" in strict_json(out)["error"]["message"]
+
+    @pytest.mark.parametrize("m", ["1e200", "1e-200"])
+    def test_ideal_gas_where_2_pi_m_e_leaves_the_float_range(self, m):
+        e, de = m, str(float(m) / 1000)
+        code, out, _ = invoke([*IDEAL_GAS[:2], "--E", e, "--dE", de, "--V", "1", "--N", "1",
+                               "--mass", m])
+        assert code == 0
+        with mpmath.workdps(40):
+            E, dE, M = (mpmath.mpf(x) for x in (e, de, m))
+            ln_omega = (1.5 * mpmath.log(2 * mpmath.pi * M * E) - mpmath.loggamma(2.5)
+                        + mpmath.log(mpmath.expm1(1.5 * mpmath.log1p(dE / E))))
+            assert abs(strict_json(out)["lnOmega"] - ln_omega) <= 1e-15 * abs(ln_omega)
 
     def test_bad_width_is_the_same_kind_everywhere(self):
         for cmd in ("modified", "quantize"):

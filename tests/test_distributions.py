@@ -238,9 +238,9 @@ class TestDensitySpec:
 
 class TestEntropyValue:
     def test_unit_from_k(self):
-        assert EntropyValue.from_k(1.0, 1.0).unit is EntropyUnit.NATS
-        assert EntropyValue.from_k(1.0, 1 / math.log(2)).unit is EntropyUnit.BITS
-        assert EntropyValue.from_k(1.0, 2.0).unit is EntropyUnit.CUSTOM
+        assert EntropyValue(1.0, 1.0).unit is EntropyUnit.NATS
+        assert EntropyValue(1.0, 1 / math.log(2)).unit is EntropyUnit.BITS
+        assert EntropyValue(1.0, 2.0).unit is EntropyUnit.CUSTOM
 
     def test_unit_k_consistency_enforced(self):
         with pytest.raises(ValidationError):
@@ -251,10 +251,10 @@ class TestEntropyValue:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_rejected(self, value):
         with pytest.raises(ValidationError, match="finite"):
-            EntropyValue.from_k(value, 1.0)
+            EntropyValue(value, 1.0)
 
     def test_json_shape(self):
-        assert EntropyValue.from_k(0.25, 1.0).to_json_obj() == {
+        assert EntropyValue(0.25, 1.0).to_json_obj() == {
             "value": 0.25,
             "unit": "nats",
         }

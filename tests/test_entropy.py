@@ -22,6 +22,7 @@ from entrokit import (
     validate_distribution,
 )
 
+from entrokit import entropy
 from entrokit.distributions import ragged
 from entrokit.entropy import _pinsker_holds, entropy_rows
 
@@ -256,6 +257,28 @@ class TestAxiomSuite:
     def test_bad_counts_raise_before_any_draw(self, sizes):
         with pytest.raises(ValidationError):
             run_axiom_suite(0, **sizes)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"max_n": 10**11, "additivity_pairs": 0, "majorization_pairs": 0},
+            {"max_n": 2**22 + 1, "additivity_pairs": 0},
+            {"max_n": 2**11 + 1, "additivity_pairs": 1},
+            {"n_distributions": 3},
+        ],
+        ids=["max-n-1e11", "max-n-above-the-row-bound", "joint-above-the-row-bound",
+             "n-odd"],
+    )
+    def test_counts_beyond_the_row_bound_raise_before_any_draw(self, sizes, monkeypatch):
+        # a draw would allocate up to 8 * max_n**2 bytes: fail loudly instead
+        def no_draw(rng, n):
+            raise AssertionError(f"drew a row of {n} elements")
+
+        monkeypatch.setattr(entropy, "_simplex_row", no_draw)
+        with pytest.raises(ValidationError):
+            run_axiom_suite(0, **{"n_distributions": 2, **sizes})
+        with pytest.raises(AssertionError, match="drew a row"):
+            run_axiom_suite(0, n_distributions=2, max_n=2**11, additivity_pairs=1)
 
     def test_max_n_1_without_majorization_pairs(self):
         report = run_axiom_suite(0, n_distributions=20, max_n=1, additivity_pairs=5,

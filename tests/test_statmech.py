@@ -128,6 +128,61 @@ class TestPhaseVolumes:
         assert math.isfinite(log_phase_shell_volume(spec))
 
 
+def oracle_log_shell_volume(E, dE, V, N, m):
+    """ln[Phi(E + dE) - Phi(E)] in 40-digit mpmath, no branch taken."""
+    with mpmath.workdps(40):
+        E, dE, V, N, m = (mpmath.mpf(x) for x in (E, dE, V, N, m))
+        ln_phi = N * mpmath.log(V) + 1.5 * N * mpmath.log(2 * mpmath.pi * m * E)
+        ln_phi -= mpmath.loggamma(1.5 * N + 1)
+        return ln_phi + mpmath.log(mpmath.expm1(1.5 * N * mpmath.log1p(dE / E)))
+
+
+class TestShellVolumeOracle:
+    """log_phase_shell_volume against mpmath on each side of its two
+    switches, delta = (3N/2) ln(1 + dE/E) at 1e-12 and at 700."""
+
+    @pytest.mark.parametrize(
+        "E, dE, V, N, m",
+        [
+            (1.0, 6e-13, 1.0, 1, 1.0),  # delta 9e-13: derivative form
+            (3.0, 1e-20, 2.0, 10, 1.0),  # delta 5e-20: derivative form
+            (1.0, 7e-13, 1.0, 1, 1.0),  # delta 1.05e-12: expm1
+            (150.0, 1.5, 1000.0, 100, 1.0),  # delta 1.49: expm1
+            (1.5e6, 1.5e-6, 1e7, 10**6, 1.0),  # delta 1.5e-6: expm1
+            (1.0, math.expm1(699 / 1500), 1.0, 1000, 1.0),  # delta 699: expm1
+            (1.0, math.expm1(701 / 1500), 1.0, 1000, 1.0),  # delta 701: the tail
+            (1.0, 1e3, 1.0, 1000, 1.0),  # delta 1.04e4: the tail
+            # 2 pi m E over- and underflows a float
+            (1e200, 1e197, 1.0, 1, 1e200),
+            (1e-200, 1e-203, 1.0, 1, 1e-200),
+            (1e300, 1.0, 1.0, 1, 1.0),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:shell thickness")
+    def test_matches_mpmath(self, E, dE, V, N, m):
+        spec = ShellSpec(E=E, dE=dE, V=V, N=N, m=m)
+        delta = 1.5 * N * math.log1p(dE / E)
+        ref = oracle_log_shell_volume(E, dE, V, N, m)
+        # the derivative form drops the relative term (3N/2 - 1) dE / (2E) < delta / 2
+        bound = 1e-15 * abs(ref) + (delta / 2 if delta < 1e-12 else 0.0)
+        assert abs(log_phase_shell_volume(spec) - ref) <= bound
+
+
+class TestParticleCountBound:
+    def test_counts_beyond_the_bound_are_validation_errors(self):
+        huge = 10**400
+        with pytest.raises(ValidationError, match="N must be an integer <= 1e"):
+            ShellSpec(E=1.0, dE=0.01, V=1.0, N=huge)
+        with pytest.raises(ValidationError, match="N must be an integer <= 1e"):
+            compare_entropy_forms(1.0, 1.0, huge)
+
+    def test_the_largest_count_gives_finite_entropies(self):
+        spec = ShellSpec(E=1e300, dE=1e298, V=1e-300, N=10**300, m=1e-300)
+        assert math.isfinite(boltzmann_entropy(spec).value)
+        assert math.isfinite(sackur_tetrode_entropy(spec).value)
+        assert math.isfinite(classical_entropy_comparison(spec).s_cell_in_log)
+
+
 class TestBoltzmannEntropy:
     def test_distinguishability_gap_is_log_factorial(self):
         base = dict(E=150.0, dE=1.5, V=1000.0, N=100)
@@ -208,6 +263,12 @@ class TestMaxentShellCheck:
         # direct evaluation oracle: -ln(C / w_1) vs -ln(C / W)
         assert s_spike == pytest.approx(math.log(1.0), abs=1e-12)
         assert s_unif == pytest.approx(math.log(8.0), abs=1e-12)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trials_must_be_positive(self, trials):
+        d = DiscretizedShellDensity.uniform(np.full(4, 1.0))
+        with pytest.raises(ValidationError, match="trials must be an integer >= 1"):
+            maxent_shell_check(d, C=1.0, trials=trials)
 
     def test_thousand_seeded_perturbations(self):
         d = DiscretizedShellDensity.uniform(np.full(16, 1.0))
