@@ -374,12 +374,12 @@ def renormalize(probs, tolerance: float = DEFAULT_TOLERANCE) -> DiscreteDistribu
     if np.any(arr < 0):
         raise NegativeProbability(f"negative probability entry {float(arr.min())}")
     try:
-        total = math.fsum(arr.tolist())
+        total = row_fsum(arr)
     except OverflowError:
         # the sum passes the largest double; 2^-s with 2^s > n brings it back
         # in range, and scales exactly every entry large enough to matter
         arr = np.ldexp(arr, -arr.size.bit_length())
-        total = math.fsum(arr.tolist())
+        total = row_fsum(arr)
     if total <= 0:
         raise NotNormalized("cannot renormalize: total mass is zero")
     return DiscreteDistribution(arr / total, tolerance=tolerance)
@@ -408,8 +408,18 @@ def product_distribution(
 #
 # A block is one flat array holding rows end to end, with row i at
 # flat[offsets[i]:offsets[i + 1]].  Values that reach a report are exact
-# per-row fsums; pass/fail decisions take one np.sum pass and fall back to
-# fsum only for rows too close to the threshold to tell.
+# row sums, math.fsum's bits, from segment_fsums: a few numpy passes over
+# the whole block, with fsum itself only for the rows those passes cannot
+# certify.  Pass/fail decisions take one cheaper np.sum pass and fall back
+# to fsum only for rows too close to the threshold to tell.
+
+# The certified sum leaves to fsum a row whose extraction constant
+# 2^(ceil log2(n + 2)) * 2^e (max|x| < 2^e) would pass 2^EXTRACT_MAX_EXP, so
+# that nothing it forms can overflow, and a row whose sum is below
+# 2^EXTRACT_MIN_EXP in size, so that its error bound and the gaps between
+# doubles next to the sum are normal numbers.
+EXTRACT_MAX_EXP = 1020
+EXTRACT_MIN_EXP = -960
 
 
 def ragged(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -419,10 +429,106 @@ def ragged(rows) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(rows), offsets
 
 
-def segment_fsums(flat: np.ndarray, offsets: np.ndarray) -> list[float]:
-    """math.fsum of every row: the exact sums that reports carry."""
-    xs, bounds = flat.tolist(), offsets.tolist()
-    return [math.fsum(xs[a:b]) for a, b in zip(bounds, bounds[1:])]
+def _sum_error_bound(n: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Bound on |np.sum(row) - sum(row)| for rows of n elements with
+    sum|x_i| = size, in whatever order np.sum adds: g * size with
+    g = 2nu / (1 - 2nu) and u = 2^-53 (Higham, Accuracy and Stability,
+    section 4; g is twice the constant needed, which covers the rounding
+    of the bound itself)."""
+    nu = n * UNIT_ROUNDOFF
+    return 2.0 * nu / (1.0 - 2.0 * nu) * size
+
+
+def _fsum(row: np.ndarray) -> float:
+    """math.fsum of one row: the exact sum of the rows that numpy cannot
+    certify or decide."""
+    return math.fsum(row.tolist())
+
+
+def _extract(x: np.ndarray, starts: np.ndarray, n: np.ndarray, log_n: np.ndarray):
+    """One error-free extraction (Rump, Ogita and Oishi, "Accurate
+    floating-point summation", SIAM J. Sci. Comput. 31, 2008): with
+    sigma = 2^(ceil log2(n + 2)) * 2^e per row and max|x| < 2^e, each
+    q = (sigma + x) - sigma is x cut to a multiple of ulp(sigma) / 2, and
+    r = x - q is exact.  Every partial sum of the q of a row is such a
+    multiple no larger than n 2^e <= sigma, so np.add.reduceat adds them
+    exactly in whatever order it takes.  Returns the exact row sums of q,
+    the residuals r, and the sigma exponents."""
+    exponent = log_n + np.frexp(np.maximum.reduceat(np.abs(x), starts))[1]
+    sigma = np.repeat(np.ldexp(1.0, exponent), n)
+    q = (sigma + x) - sigma
+    return np.add.reduceat(q, starts), x - q, exponent
+
+
+def segment_fsums(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """math.fsum of every row, bit for bit: the exact sums that reports
+    carry.  An empty row sums to 0.0.
+
+    An extraction (see _extract) splits each row exactly into an exact
+    partial sum s1 and residuals r, and a second one splits r again into
+    s2 and smaller residuals.  TwoSum turns s1 + s2 into s + t exactly, so
+    the row sum is s + t + sum(r), and the candidate is
+    c = s + (t + np.sum(r)).  With err, the exact rounding error of that
+    last addition, the row sum lies within err +- b of c, where b bounds
+    the rounding of t + np.sum(r) and of np.sum(r) itself
+    (_sum_error_bound).  The candidate is kept when that interval lies
+    strictly inside the half-gaps to c's neighbours, so that c is the one
+    correctly rounded sum, or when every r is 0, so that c = s is; in both
+    cases c is fsum's value.  The second extraction is taken only when the
+    first, with s2 = 0, leaves a row with a nonzero candidate uncertified:
+    a long row of unrelated doubles rarely needs it, while a row whose sum
+    lies exactly on a rounding midpoint always does.
+
+    Every other row goes to math.fsum: a row that is not certified, holds
+    a non-finite entry, has an extraction constant beyond
+    2^EXTRACT_MAX_EXP, or a sum of size below 2^EXTRACT_MIN_EXP, zero
+    included (which keeps fsum's sign of zero).  So every value, and
+    every error fsum raises, is fsum's."""
+    n = offsets[1:] - offsets[:-1]
+    if not n.all():  # an empty row sums to 0.0, as fsum's does
+        rows = np.flatnonzero(n)
+        sums = np.zeros(n.size)
+        if rows.size:
+            sums[rows] = segment_fsums(flat, np.append(offsets[rows], offsets[-1]))
+        return sums
+    starts = offsets[:-1]
+    log_n = np.frexp(n + 1.0)[1]  # ceil(log2(n + 2))
+    with np.errstate(invalid="ignore", over="ignore"):
+        s1, r, top = _extract(flat, starts, n, log_n)
+        c, certified = _rounded(s1, 0.0, r, starts, n)
+        if not certified[c != 0.0].all():
+            s2, r, _ = _extract(r, starts, n, log_n)
+            c, certified = _rounded(s1, s2, r, starts, n)
+        certified &= (top <= EXTRACT_MAX_EXP) & (np.abs(c) >= 2.0**EXTRACT_MIN_EXP)
+    for i in np.flatnonzero(~certified):
+        c[i] = _fsum(flat[offsets[i] : offsets[i + 1]])
+    return c
+
+
+def _rounded(s1, s2, r, starts, n):
+    """The candidate for s1 + s2 + sum(r) with s1 and s2 exact, and
+    whether it is certified to be that sum correctly rounded."""
+    rest = np.add.reduceat(r, starts)
+    size = np.add.reduceat(np.abs(r), starts)
+    # TwoSum: s + t = s1 + s2 exactly
+    s = s1 + s2
+    v = s - s1
+    t = (s1 - (s - v)) + (s2 - v)
+    u = t + rest
+    c = s + u
+    # TwoSum again: err = s + u - c exactly
+    v = c - s
+    err = (s - (c - v)) + (u - v)
+    band = _sum_error_bound(n, size) + 2.0 * UNIT_ROUNDOFF * np.abs(u)
+    # a generous margin for the rounding of band and of err + band
+    half_up = 0.5 * (np.nextafter(c, math.inf) - c) * (1.0 - 2.0**-40)
+    half_down = 0.5 * (c - np.nextafter(c, -math.inf)) * (1.0 - 2.0**-40)
+    return c, (size == 0.0) | ((err + band < half_up) & (band - err < half_down))
+
+
+def row_fsum(x: np.ndarray) -> float:
+    """segment_fsums of a block of the one row x: math.fsum(x), bit for bit."""
+    return float(segment_fsums(x, np.array([0, x.size]))[0])
 
 
 def fsum_decides(flat: np.ndarray, offsets: np.ndarray, *predicates) -> np.ndarray:
@@ -430,18 +536,22 @@ def fsum_decides(flat: np.ndarray, offsets: np.ndarray, *predicates) -> np.ndarr
     row.  A predicate maps an array of row sums to bools and must be
     monotone in each sum.
 
-    One np.sum pass gives each row sum s with |s - sum| <= g * sum|x_i|,
-    g = 2nu / (1 - 2nu) for n elements and u = 2^-53, in whatever order
-    np.sum adds (Higham, Accuracy and Stability, section 4; g is twice the
-    constant needed, which covers the rounding of the bound itself).  Each
+    One np.sum pass gives each row sum to within _sum_error_bound.  Each
     predicate is taken at both ends of that interval, and only a row where
     the ends disagree, because its sum lies within the band of a threshold,
-    is summed again by fsum.  So the answer is always fsum's."""
+    is summed again by fsum.  So the answer is always fsum's.  A row whose
+    partial sums leave the float range, where fsum raises, is summed at
+    2^-s with 2^s > n and scaled back, as renormalize scales: to +-inf
+    where the sum itself overflows, which every finite threshold decides
+    as it would the exact sum.
+
+    This pass costs a quarter to a third of an exact segment_fsums, and the
+    band holds few rows, so decisions do not take exact sums."""
     starts = offsets[:-1]
-    nu = np.diff(offsets) * UNIT_ROUNDOFF
-    sums = np.add.reduceat(flat, starts)
-    band = 2.0 * nu / (1.0 - 2.0 * nu) * np.add.reduceat(np.abs(flat), starts)
-    lo, hi = sums - band, sums + band
+    with np.errstate(invalid="ignore", over="ignore"):  # such rows fall back
+        sums = np.add.reduceat(flat, starts)
+        band = _sum_error_bound(offsets[1:] - starts, np.add.reduceat(np.abs(flat), starts))
+        lo, hi = sums - band, sums + band
     decided = np.ones(sums.size, dtype=bool)
     unsure = ~np.isfinite(hi - lo)
     for predicate in predicates:
@@ -451,7 +561,13 @@ def fsum_decides(flat: np.ndarray, offsets: np.ndarray, *predicates) -> np.ndarr
     unsure = np.flatnonzero(unsure)
     if unsure.size:
         exact = lo.copy()
-        exact[unsure] = [math.fsum(flat[offsets[i]:offsets[i + 1]].tolist()) for i in unsure]
+        for i in unsure:
+            row = flat[offsets[i]:offsets[i + 1]]
+            try:
+                exact[i] = _fsum(row)
+            except OverflowError:
+                s = row.size.bit_length()
+                exact[i] = _fsum(np.ldexp(row, -s)) * 2.0**s
         decided[unsure] = np.logical_and.reduce([p(exact) for p in predicates])[unsure]
     return decided
 
@@ -485,8 +601,13 @@ def check_probability_rows(flat: np.ndarray, offsets: np.ndarray, tolerance) -> 
     row = float_vector(flat[offsets[i]:offsets[i + 1]], "probs")  # raises if not finite
     if np.any(row < 0):
         raise NegativeProbability(f"negative probability entry {float(row.min())}")
-    total = math.fsum(row.tolist())
     tol = float(np.broadcast_to(tolerance, ok.shape)[i])
+    try:
+        total = row_fsum(row)
+    except OverflowError:
+        raise NotNormalized(
+            f"probabilities sum beyond the float range (tolerance {tol:.1e})"
+        ) from None
     raise NotNormalized(
         f"probabilities sum to {total}, off by {total - 1.0:+.3e} (tolerance {tol:.1e})"
     )

@@ -29,6 +29,7 @@ from .distributions import (
     product_distribution,
     product_tolerance,
     ragged,
+    row_fsum,
     segment_fsums,
 )
 from .errors import PhiUndefined, ValidationError
@@ -44,7 +45,7 @@ def entropy_rows(flat: np.ndarray, offsets: np.ndarray, k: float = 1.0) -> list[
     pos = flat > 0
     x = flat[pos]
     kept = np.concatenate(([0], np.cumsum(pos)))[offsets]
-    values = [k * s for s in segment_fsums(-x * np.log(x), kept)]
+    values = [k * s for s in segment_fsums(-x * np.log(x), kept).tolist()]
     for v in values:
         if not math.isfinite(v):
             EntropyValue(v, k)  # raises: k is bad or the value has overflowed
@@ -109,8 +110,7 @@ def total_entropy(v: BinnedVariable, k: float = 1.0) -> EntropyValue:
     p = v.probs
     h = v.widths
     mask = p > 0
-    terms = (-p[mask] * (np.log(p[mask]) - np.log(h[mask]))).tolist()
-    return EntropyValue(k * math.fsum(terms), k)
+    return EntropyValue(k * row_fsum(-p[mask] * (np.log(p[mask]) - np.log(h[mask]))), k)
 
 
 def additivity_defect(

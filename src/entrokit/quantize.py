@@ -10,10 +10,11 @@ densities symmetric about a bin center instead of an edge.
 
 Bin masses are closed-form tail differences, each taken on its small side
 (see DensitySpec.bin_masses).  A grid holds at most MAX_ROW bins, checked
-before any of it is computed.  Reported sums are exact (math.fsum), so they
-do not depend on evaluation order, and the normalization checks (the bin
-masses alone, and the masses plus the deficit) are the one row check of
-distributions.normalized_rows, which decides as fsum would.
+before any of it is computed.  Reported sums, the total entropy above all,
+are exact and correctly rounded (distributions.segment_fsums, math.fsum's
+bits), so they do not depend on evaluation order, and the normalization
+checks (the bin masses alone, and the masses plus the deficit) are the one
+row check of distributions.normalized_rows, which decides as fsum would.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .distributions import (
     EntropyValue,
     check_positive,
     normalized_rows,
+    row_fsum,
 )
 from .entropy import total_entropy
 from .errors import NonPositiveWidth, UnboundedSupport, ValidationError
@@ -56,7 +58,7 @@ class QuantizationResult:
             raise ValidationError("all bin widths must equal h")
         row = np.append(self.binned.probs, self.mass_deficit)
         if not normalized_rows(row, np.array([0, row.size]), QUANTIZED_TOL)[0]:
-            total = math.fsum(row.tolist())
+            total = row_fsum(row)
             raise ValidationError(
                 f"bin masses plus deficit sum to {total}, off by {total - 1.0:+.3e}"
             )

@@ -35,6 +35,7 @@ from .distributions import (
     float_vector,
     fsum_decides,
     probability_rows_ok,
+    row_fsum,
     segment_fsums,
 )
 from .errors import InvalidDensity, NonPositiveWidth, ValidationError
@@ -160,12 +161,10 @@ class DiscretizedShellDensity:
     densities: np.ndarray
 
     def __post_init__(self) -> None:
-        w = float_vector(self.cell_volumes, "cell_volumes")
+        w = _cell_volumes(self.cell_volumes)
         f = float_vector(self.densities, "densities")
         if w.size != f.size:
             raise ValidationError(f"{w.size} cell volumes but {f.size} densities")
-        if np.any(w <= 0):
-            raise ValidationError("cell volumes must be positive")
         if not _shell_rows_ok(w, f[None, :])[0]:
             _raise_shell_row_error(w, f)
         w.setflags(write=False)
@@ -175,9 +174,21 @@ class DiscretizedShellDensity:
 
     @classmethod
     def uniform(cls, cell_volumes) -> "DiscretizedShellDensity":
-        w = np.asarray(cell_volumes, dtype=float)
-        total = math.fsum(w.tolist())
+        """The constant density 1 / sum(w_i) on cells w: the maximizer."""
+        w = _cell_volumes(cell_volumes)
+        try:
+            total = row_fsum(w)
+        except OverflowError:
+            raise ValidationError("cell volumes sum beyond the float range") from None
         return cls(w, np.full(w.size, 1.0 / total))
+
+
+def _cell_volumes(x) -> np.ndarray:
+    """The one check of shell cells: a non-empty, finite, positive vector."""
+    w = float_vector(x, "cell_volumes")
+    if np.any(w <= 0):
+        raise ValidationError("cell volumes must be positive")
+    return w
 
 
 def _shell_rows_ok(w: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -193,7 +204,10 @@ def _raise_shell_row_error(w: np.ndarray, f: np.ndarray) -> None:
     float_vector(f, "densities")  # raises if not finite
     if np.any(f < 0):
         raise InvalidDensity("densities must be nonnegative")
-    total = math.fsum((w * f).tolist())
+    try:
+        total = row_fsum(w * f)
+    except OverflowError:
+        raise InvalidDensity("sum(w_i f_i) lies beyond the float range") from None
     raise InvalidDensity(f"sum(w_i f_i) = {total}, off by {total - 1.0:+.3e}")
 
 
@@ -210,7 +224,7 @@ def shell_entropy(d: DiscretizedShellDensity, C: float, k: float = 1.0) -> float
     """Discretized S = -k sum(w_i f_i ln(C f_i)); empty cells contribute 0."""
     check_positive(k, "k")
     check_positive(C, "C")
-    return k * math.fsum(_shell_terms(d.cell_volumes, d.densities, C).tolist())
+    return k * row_fsum(_shell_terms(d.cell_volumes, d.densities, C))
 
 
 @dataclass(frozen=True)
@@ -253,7 +267,7 @@ def maxent_shell_check(
             raw[i] = rng.exponential(size=m)
             t[i] = 1.0 - rng.random()  # in (0, 1]: never the uniform point itself
         offsets = np.arange(rows + 1) * m
-        candidate = raw / np.array(segment_fsums((w * raw).ravel(), offsets))[:, None]
+        candidate = raw / segment_fsums((w * raw).ravel(), offsets)[:, None]
         mixed = (1.0 - t) * uniform.densities + t * candidate
         ok = _shell_rows_ok(w, mixed)
         bad = None if ok.all() else int(np.argmin(ok))

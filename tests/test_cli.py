@@ -314,6 +314,15 @@ BAD_VALUES = {
     "compare-N-1e400": [*COMPARE[:-2], "--N", "1" + "0" * 400],
 }
 
+#: probability vectors whose sum leaves the float range: not normalized, so
+#: each must exit 65 with strict-JSON stdout and kind NotNormalized
+BAD_SUMS = {
+    "probs-sum-overflows": ["discrete", "--probs", "[1e308,1e308]"],
+    "binned-probs-sum-overflows": [
+        "total", "--data", '{"values":[0,1],"probs":[1e308,1e308],"widths":[1,1]}'
+    ],
+}
+
 
 class TestExitCodes:
     def test_domain_error_is_65_with_envelope(self):
@@ -342,6 +351,16 @@ class TestExitCodes:
         assert code == 65
         assert body["error"]["kind"] == "ValidationError"
         assert body["error"]["message"]
+
+    @pytest.mark.parametrize("argv", BAD_SUMS.values(), ids=BAD_SUMS.keys())
+    def test_sums_beyond_the_float_range_are_65_not_normalized(self, argv):
+        code, out, _ = invoke(argv)
+        body = strict_json(out)
+        assert code == 65
+        assert body["error"] == {
+            "kind": "NotNormalized",
+            "message": "probabilities sum beyond the float range (tolerance 1.0e-09)",
+        }
 
     def test_huge_max_n_is_refused_before_any_draw(self, monkeypatch):
         # the draw would ask for 475 GiB: fail loudly instead
