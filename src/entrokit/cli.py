@@ -18,6 +18,7 @@ from pathlib import Path
 from . import entropy, functional_eq, quantize, statmech
 from .distributions import (
     binned_from_json,
+    check_count,
     check_positive,
     density_from_json,
     discrete_from_json,
@@ -32,6 +33,11 @@ EXIT_USAGE = 2
 EXIT_DATA = 65
 EXIT_NOINPUT = 66
 EXIT_INTERNAL = 70
+
+# most widths one converge sweep takes: within about 2,100 halvings any
+# positive double reaches 0.0, so a longer sweep always holds a zero width
+# and can never succeed
+MAX_HALVINGS = 2100
 
 
 def _add_unit_flags(sub: argparse.ArgumentParser) -> None:
@@ -179,8 +185,7 @@ def _cmd_quantize(ns: argparse.Namespace) -> dict:
 
 def _cmd_converge(ns: argparse.Namespace) -> dict | str:
     density = density_from_json(_input_text(ns, "density"))
-    if ns.halvings < 1:
-        raise ValidationError("--halvings must be >= 1")
+    check_count(ns.halvings, "--halvings", 1, MAX_HALVINGS)
     h_values = [ns.h_start * 2.0**-j for j in range(ns.halvings)]
     rows = quantize.convergence_sweep(density, h_values, _k(ns))
     if ns.format == "csv":

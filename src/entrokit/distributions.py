@@ -445,45 +445,30 @@ def _fsum(row: np.ndarray) -> float:
     return math.fsum(row.tolist())
 
 
-def _extract(x: np.ndarray, starts: np.ndarray, n: np.ndarray, log_n: np.ndarray):
-    """One error-free extraction (Rump, Ogita and Oishi, "Accurate
-    floating-point summation", SIAM J. Sci. Comput. 31, 2008): with
-    sigma = 2^(ceil log2(n + 2)) * 2^e per row and max|x| < 2^e, each
-    q = (sigma + x) - sigma is x cut to a multiple of ulp(sigma) / 2, and
-    r = x - q is exact.  Every partial sum of the q of a row is such a
-    multiple no larger than n 2^e <= sigma, so np.add.reduceat adds them
-    exactly in whatever order it takes.  Returns the exact row sums of q,
-    the residuals r, and the sigma exponents."""
-    exponent = log_n + np.frexp(np.maximum.reduceat(np.abs(x), starts))[1]
-    sigma = np.repeat(np.ldexp(1.0, exponent), n)
-    q = (sigma + x) - sigma
-    return np.add.reduceat(q, starts), x - q, exponent
-
-
 def segment_fsums(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """math.fsum of every row, bit for bit: the exact sums that reports
     carry.  An empty row sums to 0.0.
 
-    An extraction (see _extract) splits each row exactly into an exact
-    partial sum s1 and residuals r, and a second one splits r again into
-    s2 and smaller residuals.  TwoSum turns s1 + s2 into s + t exactly, so
-    the row sum is s + t + sum(r), and the candidate is
-    c = s + (t + np.sum(r)).  With err, the exact rounding error of that
-    last addition, the row sum lies within err +- b of c, where b bounds
-    the rounding of t + np.sum(r) and of np.sum(r) itself
-    (_sum_error_bound).  The candidate is kept when that interval lies
-    strictly inside the half-gaps to c's neighbours, so that c is the one
-    correctly rounded sum, or when every r is 0, so that c = s is; in both
-    cases c is fsum's value.  The second extraction is taken only when the
-    first, with s2 = 0, leaves a row with a nonzero candidate uncertified:
-    a long row of unrelated doubles rarely needs it, while a row whose sum
-    lies exactly on a rounding midpoint always does.
+    One error-free extraction (Rump, Ogita and Oishi, "Accurate
+    floating-point summation", SIAM J. Sci. Comput. 31, 2008): with
+    sigma = 2^(ceil log2(n + 2)) * 2^e per row and max|x| < 2^e, each
+    q = (sigma + x) - sigma is x cut to a multiple of ulp(sigma) / 2, and
+    r = x - q is exact.  Every partial sum of the q of a row is such a
+    multiple no larger than n 2^e <= sigma, so s = np.add.reduceat(q) is
+    exact in whatever order it adds, and the row sum is s + sum(r).  The
+    candidate is c = s + np.sum(r); with err, the exact rounding error of
+    that addition (TwoSum), the row sum lies within err +- b of c, where b
+    bounds the rounding of np.sum(r) (_sum_error_bound).  The candidate is
+    kept when that interval lies strictly inside the half-gaps to c's
+    neighbours, so that c is the one correctly rounded sum, or when every
+    r is 0, so that c = s is; in both cases c is fsum's value.
 
-    Every other row goes to math.fsum: a row that is not certified, holds
-    a non-finite entry, has an extraction constant beyond
-    2^EXTRACT_MAX_EXP, or a sum of size below 2^EXTRACT_MIN_EXP, zero
-    included (which keeps fsum's sign of zero).  So every value, and
-    every error fsum raises, is fsum's."""
+    Every other row goes to math.fsum: a row that is not certified (as no
+    row whose exact sum lies on a rounding midpoint can be), holds a
+    non-finite entry, has an extraction constant beyond 2^EXTRACT_MAX_EXP,
+    or a sum of size below 2^EXTRACT_MIN_EXP, zero included (which keeps
+    fsum's sign of zero).  So every value, and every error fsum raises, is
+    fsum's."""
     n = offsets[1:] - offsets[:-1]
     if not n.all():  # an empty row sums to 0.0, as fsum's does
         rows = np.flatnonzero(n)
@@ -492,38 +477,29 @@ def segment_fsums(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
             sums[rows] = segment_fsums(flat, np.append(offsets[rows], offsets[-1]))
         return sums
     starts = offsets[:-1]
-    log_n = np.frexp(n + 1.0)[1]  # ceil(log2(n + 2))
     with np.errstate(invalid="ignore", over="ignore"):
-        s1, r, top = _extract(flat, starts, n, log_n)
-        c, certified = _rounded(s1, 0.0, r, starts, n)
-        if not certified[c != 0.0].all():
-            s2, r, _ = _extract(r, starts, n, log_n)
-            c, certified = _rounded(s1, s2, r, starts, n)
+        # ceil(log2(n + 2)) + e
+        top = np.frexp(n + 1.0)[1] + np.frexp(np.maximum.reduceat(np.abs(flat), starts))[1]
+        sigma = np.repeat(np.ldexp(1.0, top), n)
+        q = (sigma + flat) - sigma
+        del sigma  # a row may be long: hold no more arrays of its size than needed
+        r = flat - q
+        s = np.add.reduceat(q, starts)
+        rest = np.add.reduceat(r, starts)
+        size = np.add.reduceat(np.abs(r), starts)
+        c = s + rest
+        # TwoSum: err = s + rest - c exactly
+        v = c - s
+        err = (s - (c - v)) + (rest - v)
+        band = _sum_error_bound(n, size)
+        # a generous margin for the rounding of band and of err + band
+        half_up = 0.5 * (np.nextafter(c, math.inf) - c) * (1.0 - 2.0**-40)
+        half_down = 0.5 * (c - np.nextafter(c, -math.inf)) * (1.0 - 2.0**-40)
+        certified = (size == 0.0) | ((err + band < half_up) & (band - err < half_down))
         certified &= (top <= EXTRACT_MAX_EXP) & (np.abs(c) >= 2.0**EXTRACT_MIN_EXP)
     for i in np.flatnonzero(~certified):
         c[i] = _fsum(flat[offsets[i] : offsets[i + 1]])
     return c
-
-
-def _rounded(s1, s2, r, starts, n):
-    """The candidate for s1 + s2 + sum(r) with s1 and s2 exact, and
-    whether it is certified to be that sum correctly rounded."""
-    rest = np.add.reduceat(r, starts)
-    size = np.add.reduceat(np.abs(r), starts)
-    # TwoSum: s + t = s1 + s2 exactly
-    s = s1 + s2
-    v = s - s1
-    t = (s1 - (s - v)) + (s2 - v)
-    u = t + rest
-    c = s + u
-    # TwoSum again: err = s + u - c exactly
-    v = c - s
-    err = (s - (c - v)) + (u - v)
-    band = _sum_error_bound(n, size) + 2.0 * UNIT_ROUNDOFF * np.abs(u)
-    # a generous margin for the rounding of band and of err + band
-    half_up = 0.5 * (np.nextafter(c, math.inf) - c) * (1.0 - 2.0**-40)
-    half_down = 0.5 * (c - np.nextafter(c, -math.inf)) * (1.0 - 2.0**-40)
-    return c, (size == 0.0) | ((err + band < half_up) & (band - err < half_down))
 
 
 def row_fsum(x: np.ndarray) -> float:
@@ -545,8 +521,9 @@ def fsum_decides(flat: np.ndarray, offsets: np.ndarray, *predicates) -> np.ndarr
     where the sum itself overflows, which every finite threshold decides
     as it would the exact sum.
 
-    This pass costs a quarter to a third of an exact segment_fsums, and the
-    band holds few rows, so decisions do not take exact sums."""
+    On a block of 4,096 elements this pass costs a third to a half of an
+    exact segment_fsums, and the band holds few rows, so decisions do not
+    take exact sums."""
     starts = offsets[:-1]
     with np.errstate(invalid="ignore", over="ignore"):  # such rows fall back
         sums = np.add.reduceat(flat, starts)

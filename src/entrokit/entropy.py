@@ -322,6 +322,7 @@ def run_axiom_suite(
     elements; a joint distribution holds up to max_n**2.
     """
     check_positive(k, "k")
+    check_count(seed, "seed", 0)
     check_count(n_distributions, "n_distributions", 2)
     if n_distributions % 2:
         raise ValidationError(f"n_distributions must be even, got {n_distributions}")

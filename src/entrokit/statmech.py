@@ -180,7 +180,10 @@ class DiscretizedShellDensity:
             total = row_fsum(w)
         except OverflowError:
             raise ValidationError("cell volumes sum beyond the float range") from None
-        return cls(w, np.full(w.size, 1.0 / total))
+        density = 1.0 / total
+        if not math.isfinite(density):
+            raise ValidationError(f"cell volumes sum to {total}, too small for a finite density")
+        return cls(w, np.full(w.size, density))
 
 
 def _cell_volumes(x) -> np.ndarray:
@@ -332,10 +335,14 @@ def compare_entropy_forms(
     s_in_log = EntropyValue(k * (ln_omega - log_cell), k).value
 
     sign = int(math.copysign(1.0, ln_omega)) if ln_omega != 0.0 else 0
+    scaled = k * abs(ln_omega)
     if ln_omega == 0.0:
         log_mag = -math.inf
+    elif 0.0 < scaled < math.inf:
+        log_mag = math.log(scaled) - log_cell
     else:
-        log_mag = math.log(k * abs(ln_omega)) - log_cell
+        # k |ln_omega| under- or overflows where its log does not
+        log_mag = math.log(k) + math.log(abs(ln_omega)) - log_cell
     if log_mag > 700.0:
         s_prefactor = sign * math.inf
         overflowed = True

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entrokit import cli, entropy
 
@@ -246,6 +249,29 @@ class TestRunOutputs:
         assert body["S_prefactor_log_magnitude"] > 700.0
         assert math.isfinite(body["S_cell_in_log"])
 
+    @pytest.mark.parametrize(
+        "gas, ln_omega, k",
+        [
+            # k |ln_omega| underflows to 0
+            (["--N", "10"], "1e-200", "1e-200"),
+            (["--N", "10"], "-1e-200", "1e-200"),
+            # k |ln_omega| overflows, while ln_omega - 3N ln h stays finite
+            (["--N", "1" + "0" * 299, "--planck-h", repr(math.e)], "3e299", "1e10"),
+        ],
+    )
+    def test_statmech_compare_where_k_ln_omega_leaves_the_float_range(self, gas, ln_omega, k):
+        code, out, _ = invoke(["statmech", "compare", "--E", "1", "--dE", "0.01", "--V", "1",
+                               *gas, f"--ln-omega={ln_omega}", "--k", k])
+        assert code == 0
+        body = strict_json(out)
+        assert body["S_prefactor"] == 0.0
+        assert body["S_prefactor_sign"] == math.copysign(1, float(ln_omega))
+        n, h = int(gas[1]), float(gas[3]) if len(gas) > 2 else 1.0
+        with mpmath.workdps(40):
+            log_mag = (mpmath.log(mpmath.mpf(k) * abs(mpmath.mpf(ln_omega)))
+                       - 3 * n * mpmath.log(mpmath.mpf(h)))
+            assert abs(body["S_prefactor_log_magnitude"] - log_mag) <= 1e-15 * abs(log_mag)
+
     def test_axioms_max_n_1_without_majorization_pairs(self):
         code, out, _ = invoke(["axioms", "--max-n", "1", "--majorization-pairs", "0",
                                "--n-dists", "20", "--additivity-pairs", "5"])
@@ -290,6 +316,7 @@ BAD_VALUES = {
     "converge-40-halvings": [
         "converge", "--density", GAUSSIAN, "--h-start", "0.5", "--halvings", "40"
     ],
+    "axioms-seed-minus-1": ["axioms", "--seed=-1"],
     "axioms-n-dists-1": ["axioms", "--n-dists", "1"],
     "axioms-n-dists-minus-4": ["axioms", "--n-dists", "-4"],
     "axioms-max-n-0": ["axioms", "--max-n", "0"],
@@ -373,6 +400,27 @@ class TestExitCodes:
         assert code == 65
         assert "max_n must be an integer <=" in strict_json(out)["error"]["message"]
 
+    def test_huge_halvings_are_refused_before_any_allocation(self):
+        # a list of 10^8 widths would take gigabytes: in a child whose
+        # address space is capped at 512 MiB it shows as a MemoryError
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        argv = ["converge", "--density", GAUSSIAN, "--h-start", "0.5",
+                "--halvings", "100000000"]
+        run = subprocess.run(
+            [sys.executable, "-m", "entrokit", *argv], env=env, capture_output=True,
+            text=True, preexec_fn=cap_address_space, timeout=60,
+        )
+        assert run.returncode == 65
+        assert strict_json(run.stdout)["error"] == {
+            "kind": "ValidationError",
+            "message": "--halvings must be an integer <= 2100, got 100000000",
+        }
+
     @pytest.mark.parametrize("m", ["1e200", "1e-200"])
     def test_ideal_gas_where_2_pi_m_e_leaves_the_float_range(self, m):
         e, de = m, str(float(m) / 1000)
@@ -416,6 +464,109 @@ class TestExitCodes:
     def test_success_is_0(self):
         code, _, _ = invoke(["discrete", "--probs", "[1.0]"])
         assert code == 0
+
+
+#: values for every float flag and density parameter: the special doubles,
+#: or as often ordinary ones, so that some draws succeed
+REALS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-308, -1e-308, 1e308, -1e308,
+                     math.nan, math.inf, -math.inf]),
+    st.sampled_from([0.25, 0.5, 1.0, 2.0, 150.0, -1.0]),
+)
+CSV_HEADER = "h,total_entropy,differential_entropy,abs_error\n"
+
+
+def flag(name, value):
+    """`--name=value`: a negative value after a space reads as an option."""
+    return f"--{name}={value}"
+
+
+@st.composite
+def optional_flags(draw, **pools):
+    return [flag(name, draw(pool)) for name, pool in pools.items() if draw(st.booleans())]
+
+
+@st.composite
+def unit_flags(draw):
+    return draw(optional_flags(unit=st.sampled_from(["nats", "bits"]), k=REALS))
+
+
+@st.composite
+def density_json(draw):
+    family = draw(st.sampled_from(["uniform", "gaussian", "exponential"]))
+    keys = {"uniform": ("a", "b"), "gaussian": ("mu", "sigma"), "exponential": ("rate",)}
+    return json.dumps({"family": family, **{key: draw(REALS) for key in keys[family]}})
+
+
+@st.composite
+def argvs(draw):
+    """One command line of any subcommand.  Counts come from small fixed
+    sets; huge ones only where the count is bounded before any work."""
+    cmd = draw(st.sampled_from(["discrete", "total", "differential", "modified", "quantize",
+                                "converge", "axioms", "fit-phi", "ideal-gas", "compare"]))
+    if cmd == "discrete":
+        probs = draw(st.one_of(st.lists(REALS, min_size=1, max_size=4), st.just([0.5, 0.5])))
+        argv = [cmd, f"--probs={json.dumps(probs)}", *draw(optional_flags(tolerance=REALS))]
+        return argv + draw(st.sampled_from([[], ["--renormalize"]])) + draw(unit_flags())
+    if cmd == "total":
+        n = draw(st.integers(1, 3))
+        data = {key: draw(st.lists(REALS, min_size=n, max_size=n))
+                for key in ("values", "probs", "widths")}
+        return [cmd, f"--data={json.dumps(data)}", *draw(unit_flags())]
+    if cmd == "axioms":
+        counts = {
+            "seed": st.sampled_from([0, 1, -1, 10**30]),
+            "n-dists": st.sampled_from([0, 1, 2, 3, 20]),
+            "max-n": st.sampled_from([0, 1, 2, 64, 10**11, 10**30]),
+            "additivity-pairs": st.sampled_from([-3, 0, 1, 5]),
+            "majorization-pairs": st.sampled_from([-1, 0, 1, 5]),
+        }
+        return [cmd, *(flag(name, draw(pool)) for name, pool in counts.items()),
+                *draw(unit_flags())]
+    if cmd == "fit-phi":
+        rows = draw(st.lists(st.tuples(REALS, REALS), min_size=1, max_size=4))
+        return [cmd, "--data=" + "\n".join(f"{p!r},{g!r}" for p, g in rows)]
+    if cmd in ("ideal-gas", "compare"):
+        n = draw(st.sampled_from([-1, 0, 1, 2, 100, 10**299, 10**300, 10**400]))
+        argv = ["statmech", cmd, flag("E", draw(REALS)), flag("dE", draw(REALS)),
+                flag("V", draw(REALS)), flag("N", n)]
+        argv += draw(optional_flags(mass=REALS, **{"planck-h": REALS}))
+        argv += draw(st.sampled_from([[], ["--indistinguishable"]])) + draw(unit_flags())
+        if cmd == "compare":
+            argv += draw(optional_flags(**{"ln-omega": REALS}))
+        return argv
+    argv = [cmd, f"--density={draw(density_json())}"]
+    if cmd in ("modified", "quantize"):
+        argv.append(flag("h", draw(REALS)))
+    if cmd == "converge":
+        halvings = draw(st.sampled_from([0, 1, 3, 40, cli.MAX_HALVINGS, 10**8, 10**30]))
+        argv += [flag("h-start", draw(REALS)), flag("halvings", halvings),
+                 *draw(optional_flags(format=st.sampled_from(["json", "csv"])))]
+    if cmd != "quantize":
+        argv += draw(unit_flags())
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(argvs())
+    def test_stdout_is_strict_json_and_the_exit_code_documented(self, argv):
+        code, out, _ = invoke(argv)
+        assert code in (0, 2, 65, 66)
+        if code == 2:
+            assert out == ""  # argparse's usage message goes to stderr
+        elif out.startswith(CSV_HEADER):
+            assert code == 0
+            for line in out.splitlines()[1:]:
+                assert all(math.isfinite(float(x)) for x in line.split(","))
+        else:
+            strict_json(out)
+
+    for _argv in (*BAD_VALUES.values(), *BAD_SUMS.values()):
+        test_stdout_is_strict_json_and_the_exit_code_documented = example(_argv)(
+            test_stdout_is_strict_json_and_the_exit_code_documented
+        )
+    del _argv
 
 
 class TestDeterminism:

@@ -102,8 +102,8 @@ class TestSegmentFsums:
     def test_uncertified_rows_fall_back_to_fsum(self, monkeypatch):
         """Only the rows the numpy passes cannot vouch for go to fsum: a
         row just past a rounding midpoint whose last bit only the
-        remainder decides, a zero sum, and a row beyond the extraction
-        range.  The others never reach it."""
+        remainder decides, a row exactly on a midpoint, a zero sum, and a
+        row beyond the extraction range.  The others never reach it."""
         fsum = math.fsum
         called = []
 
@@ -115,14 +115,15 @@ class TestSegmentFsums:
         rows_ = [
             [0.25, 0.5, 0.25],
             [1.0, 2.0**-53, 2.0**-160],  # above the tie by 2^-160
+            [1.0, 2.0**-53],  # the tie itself: rounds to even, down to 1
             [0.5, -0.5],
             [1e308, -1e308, 1.0],
             [3.0, 2.0**-70],
         ]
         flat, offsets = ragged([np.array(r) for r in rows_])
         got = segment_fsums(flat, offsets).tolist()
-        assert got == [1.0, 1.0 + 2.0**-52, 0.0, 1.0, 3.0]
-        assert called == rows_[1:4]
+        assert got == [1.0, 1.0 + 2.0**-52, 1.0, 0.0, 1.0, 3.0]
+        assert called == rows_[1:5]
 
 
 class TestSumsBeyondTheFloatRange:
@@ -156,6 +157,7 @@ class TestUniformShellDensity:
             ([], "non-empty"),
             ([[1.0]], "1-D"),
             ([1e308, 1e308], "beyond the float range"),
+            ([5e-324], "cell volumes sum to 5e-324"),
         ],
     )
     def test_bad_cells_are_validation_errors(self, w, match):
