@@ -29,6 +29,9 @@ SUITE_SIZES = {
     "max_n_8_bits": {"max_n": 8, "k": 1.0 / math.log(2.0)},
     "max_n_200": {"max_n": 200, "n_distributions": 2000, "additivity_pairs": 100,
                   "majorization_pairs": 200},
+    # few enough pairs that no drawn row of one element pins the extremes
+    # at 0.0 for these seeds, so these reports change with the draws
+    "unsaturated": {"n_distributions": 20, "additivity_pairs": 5, "majorization_pairs": 5},
 }
 MAXENT_CELLS = (1, 4, 64, 1024, 4096)
 MAXENT_C = (0.3, 1.0, 3.0)

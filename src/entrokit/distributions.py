@@ -422,11 +422,16 @@ EXTRACT_MAX_EXP = 1020
 EXTRACT_MIN_EXP = -960
 
 
+def offsets_of(sizes) -> np.ndarray:
+    """The offsets of a block of rows of the given sizes."""
+    offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
 def ragged(rows) -> tuple[np.ndarray, np.ndarray]:
     """The flat array and the offsets of a block of non-empty rows."""
-    offsets = np.zeros(len(rows) + 1, dtype=np.intp)
-    np.cumsum([r.size for r in rows], out=offsets[1:])
-    return np.concatenate(rows), offsets
+    return np.concatenate(rows), offsets_of([r.size for r in rows])
 
 
 def _sum_error_bound(n: np.ndarray, size: np.ndarray) -> np.ndarray:

@@ -26,9 +26,9 @@ from .distributions import (
     check_count,
     check_positive,
     check_probability_rows,
+    offsets_of,
     product_distribution,
     product_tolerance,
-    ragged,
     row_fsum,
     segment_fsums,
 )
@@ -79,6 +79,8 @@ class PhiFunction:
     def concavity_margin(self, seed: int = 0, n_samples: int = 256) -> float:
         """Worst value of phi(mix) - [lam*phi(p) + (1-lam)*phi(q)] over random
         p, q, lam in (0, 1); >= -1e-12 for a concave kernel."""
+        check_count(seed, "seed", 0)
+        check_count(n_samples, "n_samples", 1)
         rng = np.random.default_rng(seed)
         worst = math.inf
         for _ in range(n_samples):
@@ -143,11 +145,12 @@ def _majorizes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.all(pa >= pb - MAJORIZATION_TOL, axis=-1)
 
 
-def _entropy_ordered(p_maj_q: bool, q_maj_p: bool, hp: float, hq: float) -> bool:
+def _entropy_ordered(p_maj_q, q_maj_p, hp, hq) -> np.ndarray:
     """The more concentrated distribution has the smaller entropy, for
-    whichever majorization holds (vacuously true for incomparable pairs)."""
-    return (not p_maj_q or hp <= hq + MAJORIZATION_TOL) and (
-        not q_maj_p or hq <= hp + MAJORIZATION_TOL
+    whichever majorization holds (vacuously true for incomparable pairs):
+    element by element, over numpy bools and entropies."""
+    return (~p_maj_q | (hp <= hq + MAJORIZATION_TOL)) & (
+        ~q_maj_p | (hq <= hp + MAJORIZATION_TOL)
     )
 
 
@@ -158,13 +161,13 @@ def schur_concavity_check(
     ordering: the more concentrated distribution has the smaller entropy."""
     if p.n != q.n:
         raise ValidationError(f"majorization needs equal lengths, got {p.n} and {q.n}")
-    p_maj_q = bool(_majorizes(p.probs, q.probs))
-    q_maj_p = bool(_majorizes(q.probs, p.probs))
+    p_maj_q = _majorizes(p.probs, q.probs)
+    q_maj_p = _majorizes(q.probs, p.probs)
     hp = shannon_entropy(p, k).value
     hq = shannon_entropy(q, k).value
     return MajorizationReport(
-        majorizes=p_maj_q,
-        entropy_ordered=_entropy_ordered(p_maj_q, q_maj_p, hp, hq),
+        majorizes=bool(p_maj_q),
+        entropy_ordered=bool(_entropy_ordered(p_maj_q, q_maj_p, hp, hq)),
         incomparable=not (p_maj_q or q_maj_p),
     )
 
@@ -172,36 +175,46 @@ def schur_concavity_check(
 # -- randomized axiom-verification suite ---------------------------------------
 #
 # Everything below is seed-driven so parallel or repeated runs reproduce
-# bit-identically.  The draws run one by one, in a fixed order; the checks
-# run on blocks of about BLOCK_ELEMENTS drawn elements.
+# bit-identically.  The draws and the checks both run on blocks of about
+# BLOCK_ELEMENTS drawn elements: a few rng calls draw a whole block of
+# pairs, which the checks then read as arrays.
 
 
-def _simplex_row(rng: np.random.Generator, n: int) -> np.ndarray:
-    w = rng.exponential(size=n)
-    return w / math.fsum(w.tolist())
+def _columns(offsets: np.ndarray) -> np.ndarray:
+    """The position of every element of a block within its row."""
+    return np.arange(offsets[0], offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
+
+
+def _simplex_rows(rng: np.random.Generator, offsets: np.ndarray) -> np.ndarray:
+    """Uniform draws from the simplices of the rows of a block: normalized
+    exponentials, drawn by one rng call, each row divided by its exact sum
+    (fsum's bits, from segment_fsums)."""
+    w = rng.exponential(size=offsets[-1])
+    return w / np.repeat(segment_fsums(w, offsets), np.diff(offsets))
 
 
 def random_distribution(rng: np.random.Generator, n: int) -> DiscreteDistribution:
     """Uniform draw from the n-simplex (normalized exponentials)."""
-    return DiscreteDistribution(_simplex_row(rng, n))
+    check_count(n, "n", 1, MAX_ROW)
+    return DiscreteDistribution(_simplex_rows(rng, np.array([0, n])))
 
 
-def _robin_hood_rows(
-    rng: np.random.Generator, n: int, transfers: int
-) -> tuple[np.ndarray, np.ndarray]:
-    start = _simplex_row(rng, n)
-    flat = start.copy()
-    for _ in range(transfers):
-        i, j = rng.choice(n, size=2, replace=False)
-        if flat[i] < flat[j]:
-            i, j = j, i
-        gap = flat[i] - flat[j]
-        if gap <= 0:
-            continue
-        eps = rng.uniform(0.0, 0.5) * gap
-        flat[i] -= eps
-        flat[j] += eps
-    return start, flat
+def _robin_hood(rng, flat: np.ndarray, offsets: np.ndarray, transfers: np.ndarray) -> np.ndarray:
+    """The rows of a block after transfers[r] Robin Hood transfers on row r:
+    one step per transfer, each taken on every row with transfers left."""
+    q = flat.copy()
+    n = np.diff(offsets)
+    for step in range(int(transfers.max())):
+        rows = np.flatnonzero(transfers > step)
+        i = rng.integers(0, n[rows])
+        # j is i shifted cyclically by 1 to n - 1: any other coordinate
+        i, j = offsets[rows] + i, offsets[rows] + (i + rng.integers(1, n[rows])) % n[rows]
+        big = np.where(q[i] >= q[j], i, j)
+        small = i + j - big
+        eps = rng.uniform(0.0, 0.5, rows.size) * (q[big] - q[small])
+        q[big] -= eps
+        q[small] += eps
+    return q
 
 
 def robin_hood_pair(
@@ -213,70 +226,44 @@ def robin_hood_pair(
     most half their gap, which flattens the vector without crossing it, so
     the start point majorizes every later one.
     """
-    if n < 2:
-        raise ValidationError("majorization pairs need n >= 2")
-    start, flat = _robin_hood_rows(rng, n, transfers)
+    check_count(n, "n", 2, MAX_ROW)
+    check_count(transfers, "transfers", 0)
+    offsets = np.array([0, n])
+    start = _simplex_rows(rng, offsets)
+    flat = _robin_hood(rng, start, offsets, np.array([transfers]))
     return DiscreteDistribution(start), DiscreteDistribution(flat)
 
 
-def _mixture_draws(rng, pairs, max_n):
-    """Two same-length simplex points and their mixture at weight lam."""
-    for _ in range(pairs):
-        n = int(rng.integers(1, max_n + 1))
-        a = _simplex_row(rng, n)
-        b = _simplex_row(rng, n)
-        lam = rng.uniform(0.0, 1.0)
-        yield (a, b, lam * a + (1.0 - lam) * b), lam
-
-
-def _product_draws(rng, pairs, max_n):
-    """Two independent simplex points and their joint distribution."""
-    for _ in range(pairs):
-        n = int(rng.integers(1, max_n + 1))
-        m = int(rng.integers(1, max_n + 1))
-        p = _simplex_row(rng, n)
-        q = _simplex_row(rng, m)
-        yield (p, q, np.outer(p, q).ravel()), None
-
-
-def _majorization_draws(rng, pairs, max_n):
-    """Robin Hood pairs, the start point majorizing the flattened one."""
-    for _ in range(pairs):
-        n = int(rng.integers(2, max_n + 1))
-        yield _robin_hood_rows(rng, n, int(rng.integers(1, 6))), None
-
-
-def _blocks(draws):
-    """Consecutive draws, each (rows, extra), as blocks: the flat array and
-    offsets of their rows, and the extras.  A block holds at most
-    BLOCK_ELEMENTS elements, unless one draw alone holds more."""
-    rows, extras, size = [], [], 0
-    for draw_rows, extra in draws:
-        n = sum(r.size for r in draw_rows)
-        if rows and size + n > BLOCK_ELEMENTS:
-            yield (*ragged(rows), extras)
-            rows, extras, size = [], [], 0
-        rows += draw_rows
-        extras.append(extra)
-        size += n
-    if rows:
-        yield (*ragged(rows), extras)
+def _pair_blocks(rng: np.random.Generator, pairs: int, low, high, elements):
+    """The sizes of `pairs` pairs, one row per entry of low and high, drawn
+    from [low, high) at most BLOCK_ELEMENTS pairs at a time, so that no
+    array grows with `pairs`.  They come in blocks of consecutive pairs that
+    hold at most BLOCK_ELEMENTS elements, as elements(sizes) counts them,
+    unless one pair alone holds more."""
+    for first in range(0, pairs, BLOCK_ELEMENTS):
+        sizes = rng.integers(low, high, (min(BLOCK_ELEMENTS, pairs - first), len(low))).T
+        ends = offsets_of(elements(sizes))
+        a = 0
+        while a < sizes.shape[1]:
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] + BLOCK_ELEMENTS, "right")) - 1)
+            yield sizes[:, a:b]
+            a = b
 
 
 def _padded(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """The rows of a block as a zero-padded 2-D array."""
     n = np.diff(offsets)
     out = np.zeros((n.size, n.max()))
-    out[np.repeat(np.arange(n.size), n), np.arange(flat.size) - np.repeat(offsets[:-1], n)] = flat
+    out[np.repeat(np.arange(n.size), n), _columns(offsets)] = flat
     return out
 
 
-def _pinsker_holds(flat, offsets, h: list[float], k: float) -> np.ndarray:
+def _pinsker_holds(flat, offsets, h, k: float) -> np.ndarray:
     """1/2 |p - u|_1^2 <= (ln n - H/k) + slack for every row: Pinsker's
     inequality against the uniform point u, so H = ln n only at p = u."""
     n = np.diff(offsets)
     l1 = np.add.reduceat(np.abs(flat - np.repeat(1.0 / n, n)), offsets[:-1])
-    return 0.5 * l1**2 <= (np.log(n) - np.array(h) / k) + PINSKER_SLACK
+    return 0.5 * l1**2 <= (np.log(n) - np.asarray(h) / k) + PINSKER_SLACK
 
 
 @dataclass(frozen=True)
@@ -337,20 +324,23 @@ def run_axiom_suite(
     concavity_min_slack = math.inf
     equality_only_at_uniform = True
 
-    # rows per pair: a, b and their mixture
-    for flat, offsets, lams in _blocks(_mixture_draws(rng, n_distributions // 2, max_n)):
+    # rows: every a, every b, then every mixture lam * a + (1 - lam) * b
+    for (n,) in _pair_blocks(rng, n_distributions // 2, [1], [max_n + 1], lambda s: 3 * s[0]):
+        offsets = offsets_of(np.tile(n, 3))
+        ab = _simplex_rows(rng, offsets[: 2 * n.size + 1])
+        lam = rng.uniform(0.0, 1.0, n.size)
+        w = np.repeat(lam, n)
+        a, b = np.split(ab, 2)
+        flat = np.concatenate((ab, w * a + (1.0 - w) * b))
         check_probability_rows(flat, offsets, DEFAULT_TOLERANCE)
-        h = entropy_rows(flat, offsets, k)
-        sizes = np.diff(offsets)[0::3].tolist()
-        for i, lam in enumerate(lams):
-            ha, hb, hmix = h[3 * i : 3 * i + 3]
-            bound = k * math.log(sizes[i])
-            min_entropy = min(min_entropy, ha, hb)
-            max_bound_excess = max(max_bound_excess, ha - bound, hb - bound)
-            slack = hmix - (lam * ha + (1.0 - lam) * hb)
-            concavity_min_slack = min(concavity_min_slack, slack)
-        drawn = _pinsker_holds(flat, offsets, h, k).reshape(-1, 3)[:, :2]
-        equality_only_at_uniform = equality_only_at_uniform and bool(drawn.all())
+        h = np.array(entropy_rows(flat, offsets, k)).reshape(3, -1)
+        ha, hb, hmix = h
+        min_entropy = min(min_entropy, float(h[:2].min()))
+        max_bound_excess = max(max_bound_excess, float((h[:2] - k * np.log(n)).max()))
+        slack = hmix - (lam * ha + (1.0 - lam) * hb)
+        concavity_min_slack = min(concavity_min_slack, float(slack.min()))
+        holds = _pinsker_holds(flat, offsets, h.ravel(), k)[: 2 * n.size]
+        equality_only_at_uniform = equality_only_at_uniform and bool(holds.all())
 
     # equality at the uniform point, for a spread of sizes
     uniform_gap = max(
@@ -358,28 +348,35 @@ def run_axiom_suite(
         for n in (1, 2, 3, 7, 16, 64)
     )
 
-    # rows per pair: p, q and their joint distribution
+    # rows: every p, every q, then every joint distribution p x q
     additivity_max = 0.0
-    for flat, offsets, _ in _blocks(_product_draws(rng, additivity_pairs, max_n)):
-        tol = np.full(offsets.size - 1, DEFAULT_TOLERANCE)
-        n = np.diff(offsets)
-        tol[2::3] = product_tolerance(DEFAULT_TOLERANCE, n[0::3] + n[1::3])
+    for n, m in _pair_blocks(rng, additivity_pairs, [1, 1], [max_n + 1] * 2,
+                             lambda s: s[0] + s[1] + s[0] * s[1]):
+        offsets = offsets_of(np.concatenate((n, m, n * m)))
+        pq = _simplex_rows(rng, offsets[: 2 * n.size + 1])
+        pair = np.repeat(np.arange(n.size), n * m)
+        at = _columns(offsets[2 * n.size :])  # entry (j, a) of joint row r is p_j q_a
+        joint = pq[offsets[pair] + at // m[pair]] * pq[offsets[n.size + pair] + at % m[pair]]
+        flat = np.concatenate((pq, joint))
+        tol = np.full(3 * n.size, DEFAULT_TOLERANCE)
+        tol[2 * n.size :] = product_tolerance(DEFAULT_TOLERANCE, n + m)
         check_probability_rows(flat, offsets, tol)
-        h = entropy_rows(flat, offsets, k)
-        for hp, hq, joint in zip(h[0::3], h[1::3], h[2::3]):
-            additivity_max = max(additivity_max, abs(joint - hp - hq))
+        hp, hq, hjoint = np.array(entropy_rows(flat, offsets, k)).reshape(3, -1)
+        additivity_max = max(additivity_max, float(np.abs(hjoint - hp - hq).max()))
 
-    # rows per pair: the start point p and the flattened q
+    # rows: every start point p, then every flattened q; 1 to 5 transfers
     majorization_violations = 0
-    for flat, offsets, _ in _blocks(_majorization_draws(rng, majorization_pairs, max_n)):
+    for n, transfers in _pair_blocks(rng, majorization_pairs, [2, 1], [max_n + 1, 6],
+                                     lambda s: 2 * s[0]):
+        offsets = offsets_of(np.tile(n, 2))
+        start = _simplex_rows(rng, offsets[: n.size + 1])
+        flat = np.concatenate((start, _robin_hood(rng, start, offsets[: n.size + 1], transfers)))
         check_probability_rows(flat, offsets, DEFAULT_TOLERANCE)
-        h = entropy_rows(flat, offsets, k)
-        rows = _padded(flat, offsets)
-        p_maj_q = _majorizes(rows[0::2], rows[1::2]).tolist()
-        q_maj_p = _majorizes(rows[1::2], rows[0::2]).tolist()
-        for pq, qp, hp, hq in zip(p_maj_q, q_maj_p, h[0::2], h[1::2]):
-            if not (pq and _entropy_ordered(pq, qp, hp, hq)):
-                majorization_violations += 1
+        hp, hq = np.array(entropy_rows(flat, offsets, k)).reshape(2, -1)
+        p, q = np.split(_padded(flat, offsets), 2)
+        p_maj_q = _majorizes(p, q)
+        ordered = _entropy_ordered(p_maj_q, _majorizes(q, p), hp, hq)
+        majorization_violations += int(np.count_nonzero(~(p_maj_q & ordered)))
 
     passed = (
         min_entropy >= 0.0

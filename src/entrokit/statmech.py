@@ -216,10 +216,16 @@ def _raise_shell_row_error(w: np.ndarray, f: np.ndarray) -> None:
 
 def _shell_terms(w: np.ndarray, f: np.ndarray, C: float) -> np.ndarray:
     """-w_i f_i ln(C f_i) for every cell of every row of densities f, and 0
-    for an empty cell: the terms of the one shell-entropy sum."""
+    for an empty cell: the terms of the one shell-entropy sum.  Where C f_i
+    leaves the float range (to 0 or inf), ln C + ln f_i stands in for it."""
     pos = f > 0
+    fp = f[pos]
+    with np.errstate(over="ignore", divide="ignore"):
+        log_cf = np.log(C * fp)
+    out = ~np.isfinite(log_cf)
+    log_cf[out] = math.log(C) + np.log(fp[out])
     terms = np.zeros(f.shape)
-    terms[pos] = -np.broadcast_to(w, f.shape)[pos] * f[pos] * np.log(C * f[pos])
+    terms[pos] = -np.broadcast_to(w, f.shape)[pos] * fp * log_cf
     return terms
 
 
@@ -255,6 +261,7 @@ def maxent_shell_check(
     fsum would.
     """
     check_count(trials, "trials", 1)
+    check_count(seed, "seed", 0)
     entropy = shell_entropy(d, C, k)
     uniform = DiscretizedShellDensity.uniform(d.cell_volumes)
     threshold = shell_entropy(uniform, C, k) + MAXENT_SLACK

@@ -1,5 +1,6 @@
-"""The block-batched axiom and max-entropy suites: their outputs against a
-golden corpus, and their memory against a fixed ceiling.
+"""The block-batched axiom and max-entropy suites: their draws against
+per-row references, their outputs against a golden corpus, and their
+memory against a fixed ceiling.
 
 The corpus is written by `scripts/axiom_golden.py`; run it on a checkout to
 see that checkout's outputs.
@@ -13,21 +14,92 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from entrokit import (
+    DiscreteDistribution,
     DiscretizedShellDensity,
     InvalidDensity,
+    entropy,
     maxent_shell_check,
+    random_distribution,
     run_axiom_suite,
+    schur_concavity_check,
     shell_entropy,
     statmech,
 )
+from entrokit.distributions import BLOCK_ELEMENTS, offsets_of
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "axiom_golden.json").read_text())
 
 # Blocks hold about 4,096 elements, so both suites peak near 1 MiB; a batch
 # over a whole phase at once peaks above 30 MiB.
 PEAK_CEILING = 2 * 2**20
+
+
+@given(st.lists(st.integers(1, 64), min_size=1, max_size=20), st.integers(0, 2**32 - 1))
+@example([BLOCK_ELEMENTS + 1], 0)
+@example([3, BLOCK_ELEMENTS + 7, 1], 5)
+def test_simplex_rows_are_exponentials_over_their_fsum(sizes, seed):
+    offsets = offsets_of(sizes)
+    drawn = entropy._simplex_rows(np.random.default_rng(seed), offsets)
+    w = np.random.default_rng(seed).exponential(size=offsets[-1])
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        expected = w[a:b] / math.fsum(w[a:b].tolist())
+        assert drawn[a:b].tobytes() == expected.tobytes()
+
+
+@given(st.integers(1, 5000), st.integers(0, 2**32 - 1))
+def test_random_distribution_is_the_per_row_formula(n, seed):
+    w = np.random.default_rng(seed).exponential(size=n)
+    expected = w / math.fsum(w.tolist())
+    drawn = random_distribution(np.random.default_rng(seed), n).probs
+    assert drawn.tobytes() == expected.tobytes()
+
+
+@given(st.lists(st.tuples(st.integers(2, 40), st.integers(1, 5)), min_size=1, max_size=30),
+       st.integers(0, 2**32 - 1))
+@example([(2, 5)], 0)
+@example([(2, 5), (2, 1), (40, 5), (3, 3)], 1)
+def test_robin_hood_blocks_keep_every_pair_ordered(pairs, seed):
+    n, transfers = np.array(pairs).T
+    offsets = offsets_of(n)
+    rng = np.random.default_rng(seed)
+    start = entropy._simplex_rows(rng, offsets)
+    flat = entropy._robin_hood(rng, start, offsets, transfers)
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        report = schur_concavity_check(DiscreteDistribution(start[a:b]),
+                                       DiscreteDistribution(flat[a:b]))
+        assert report.majorizes and report.entropy_ordered
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [{}, {"n_distributions": 60, "max_n": 150, "additivity_pairs": 6,
+          "majorization_pairs": 10}],
+    ids=["defaults", "max-n-150"],
+)
+def test_blocks_hold_at_most_block_elements_unless_one_pair(sizes, monkeypatch):
+    blocks = []
+
+    def record(flat, offsets, tolerance):
+        blocks.append((flat.size, offsets.size - 1))
+        check_probability_rows(flat, offsets, tolerance)
+
+    check_probability_rows = entropy.check_probability_rows
+    monkeypatch.setattr(entropy, "check_probability_rows", record)
+    report = run_axiom_suite(11, **sizes)
+    assert report.passed
+    # a pair is three rows (a, b, mixture; p, q, joint) or two (p, q)
+    for elements, rows in blocks:
+        assert elements <= BLOCK_ELEMENTS or rows <= 3
+    assert sum(rows for _, rows in blocks) == (
+        3 * (report.n_distributions // 2 + report.additivity_pairs)
+        + 2 * report.majorization_pairs
+    )
+    if not sizes:  # many pairs per block, not one pair of the largest size each
+        assert sum(elements for elements, _ in blocks) > len(blocks) * BLOCK_ELEMENTS / 2
 
 
 @pytest.mark.parametrize(

@@ -391,10 +391,10 @@ class TestExitCodes:
 
     def test_huge_max_n_is_refused_before_any_draw(self, monkeypatch):
         # the draw would ask for 475 GiB: fail loudly instead
-        def no_draw(rng, n):
-            raise AssertionError(f"drew a row of {n} elements")
+        def no_draw(rng, offsets):
+            raise AssertionError(f"drew a block of {offsets[-1]} elements")
 
-        monkeypatch.setattr(entropy, "_simplex_row", no_draw)
+        monkeypatch.setattr(entropy, "_simplex_rows", no_draw)
         code, out, _ = invoke(["axioms", "--max-n", "100000000000", "--n-dists", "2",
                                "--additivity-pairs", "0", "--majorization-pairs", "0"])
         assert code == 65

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from hypothesis import strategies as st
 from entrokit import (
     BinnedVariable,
     DiscreteDistribution,
+    DiscretizedShellDensity,
     PhiFunction,
     PhiUndefined,
     ValidationError,
     additivity_defect,
+    maxent_shell_check,
     phi_entropy,
+    random_distribution,
     robin_hood_pair,
     run_axiom_suite,
     schur_concavity_check,
@@ -219,17 +223,21 @@ class TestAxiomSuite:
         assert a.majorization_violations == 0
 
     def test_different_seeds_differ(self):
+        # every measured field, not one: a single defect often lands on the
+        # same rounding error for two seeds
         a = run_axiom_suite(seed=1, n_distributions=100, additivity_pairs=10, majorization_pairs=10)
         b = run_axiom_suite(seed=2, n_distributions=100, additivity_pairs=10, majorization_pairs=10)
-        assert a.additivity_max_defect != b.additivity_max_defect
+        assert replace(a, seed=0) != replace(b, seed=0)
 
     def test_near_uniform_draw_is_not_an_equality_failure(self):
-        # pair 999 of this seed draws n = 2 with |p - 1/2| = 1.9e-7, so
-        # ln 2 - H = 7.45e-14: a genuine non-uniform point whose entropy gap
-        # is quadratic in its deviation, which Pinsker's inequality allows
-        report = run_axiom_suite(538864902)
-        assert report.equality_only_at_uniform
-        assert report.passed
+        # n = 2 with |p - 1/2| = 1.9e-7 has ln 2 - H = 7.2e-14: a genuine
+        # non-uniform point whose entropy gap is quadratic in its deviation,
+        # which Pinsker's inequality allows (a suite once drew such a point)
+        p = np.array([0.5 + 1.9e-7, 0.5 - 1.9e-7])
+        flat, offsets = ragged([p])
+        h = [shannon_entropy(DiscreteDistribution(p)).value]
+        assert 0.0 < math.log(2.0) - h[0] < 1e-13
+        assert _pinsker_holds(flat, offsets, h, 1.0).all()
 
     def test_pinsker_test_trips_on_a_false_entropy(self):
         flat, offsets = ragged([np.array([0.5, 0.5]), np.array([0.6, 0.4]), np.full(4, 0.25)])
@@ -271,13 +279,13 @@ class TestAxiomSuite:
     )
     def test_counts_beyond_the_row_bound_raise_before_any_draw(self, sizes, monkeypatch):
         # a draw would allocate up to 8 * max_n**2 bytes: fail loudly instead
-        def no_draw(rng, n):
-            raise AssertionError(f"drew a row of {n} elements")
+        def no_draw(rng, offsets):
+            raise AssertionError(f"drew a block of {offsets[-1]} elements")
 
-        monkeypatch.setattr(entropy, "_simplex_row", no_draw)
+        monkeypatch.setattr(entropy, "_simplex_rows", no_draw)
         with pytest.raises(ValidationError):
             run_axiom_suite(0, **{"n_distributions": 2, **sizes})
-        with pytest.raises(AssertionError, match="drew a row"):
+        with pytest.raises(AssertionError, match="drew a block"):
             run_axiom_suite(0, n_distributions=2, max_n=2**11, additivity_pairs=1)
 
     def test_max_n_1_without_majorization_pairs(self):
@@ -306,3 +314,27 @@ class TestEntropyRows:
         expected = [BITS * math.fsum((-p * np.log(p)).tolist())
                     for p in (d.probs[d.probs > 0] for d in dists)]
         assert entropy_rows(flat, offsets, BITS) == expected
+
+
+CELLS = DiscretizedShellDensity.uniform(np.ones(4))
+BAD_COUNTS = {
+    "random-distribution-n-minus-1": lambda rng: random_distribution(rng, -1),
+    "random-distribution-n-2.5": lambda rng: random_distribution(rng, 2.5),
+    "random-distribution-n-1e12": lambda rng: random_distribution(rng, 10**12),
+    "robin-hood-n-1": lambda rng: robin_hood_pair(rng, 1),
+    "robin-hood-n-2.5": lambda rng: robin_hood_pair(rng, 2.5),
+    "robin-hood-transfers-2.5": lambda rng: robin_hood_pair(rng, 4, transfers=2.5),
+    "robin-hood-transfers-minus-1": lambda rng: robin_hood_pair(rng, 4, transfers=-1),
+    "maxent-seed-minus-1": lambda rng: maxent_shell_check(CELLS, 1.0, seed=-1),
+    "concavity-seed-minus-1": lambda rng: shannon_phi().concavity_margin(seed=-1),
+    "concavity-n-samples-minus-3": lambda rng: shannon_phi().concavity_margin(n_samples=-3),
+}
+
+
+@pytest.mark.parametrize("call", BAD_COUNTS.values(), ids=BAD_COUNTS.keys())
+def test_bad_counts_and_seeds_raise_before_any_draw(call):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValidationError):
+        call(rng)
+    assert rng.bit_generator.state == state

@@ -318,6 +318,21 @@ class TestMaxentShellCheck:
         gap = shell_entropy(d, c2) - shell_entropy(d, c1)
         assert gap == pytest.approx(-math.log(c2 / c1), abs=1e-12)
 
+    @pytest.mark.parametrize("cells, C", [([1e-300], 1e308), ([1e300, 1e300], 1e-308)],
+                             ids=["C-f-overflows", "C-f-underflows"])
+    def test_entropy_where_C_f_leaves_the_float_range(self, cells, C):
+        # C f_i is inf or 0 as a double, but ln(C f_i) is a modest number
+        d = DiscretizedShellDensity.uniform(np.array(cells))
+        with mpmath.workdps(50):
+            expected = -mpmath.fsum(
+                mpmath.mpf(w) * mpmath.mpf(f) * mpmath.log(mpmath.mpf(C) * mpmath.mpf(f))
+                for w, f in zip(d.cell_volumes.tolist(), d.densities.tolist())
+            )
+        entropy = shell_entropy(d, C)
+        assert entropy == pytest.approx(float(expected), rel=1e-15)
+        report = maxent_shell_check(d, C, trials=50)
+        assert (report.entropy, report.is_maximal) == (entropy, True)
+
 
 class TestEntropyFormComparison:
     def test_unit_cell_collapses_both(self):
