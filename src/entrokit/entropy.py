@@ -29,23 +29,29 @@ from .distributions import (
     offsets_of,
     product_distribution,
     product_tolerance,
-    row_fsum,
     segment_fsums,
 )
-from .errors import PhiUndefined, ValidationError
+from .errors import EvaluationFailure, PhiUndefined, ValidationError
 
 MAJORIZATION_TOL = 1e-12
 # slack of the Pinsker test, 1/2 |p - u|_1^2 <= ln n - H
 PINSKER_SLACK = 1e-12
 
 
-def entropy_rows(flat: np.ndarray, offsets: np.ndarray, k: float = 1.0) -> list[float]:
-    """-k * fsum(p_i ln p_i) of every row of a block, zero entries
-    contributing exactly 0: the one Shannon sum."""
+def entropy_terms(flat: np.ndarray, offsets: np.ndarray, log_h=0.0):
+    """-p (ln p - ln h) over the entries p > 0 of a block of non-empty rows, ln h a scalar (0
+    for Shannon) or one per entry, with the rows' offsets: total entropy's terms (section 3)."""
     pos = flat > 0
     x = flat[pos]
-    kept = np.concatenate(([0], np.cumsum(pos)))[offsets]
-    values = [k * s for s in segment_fsums(-x * np.log(x), kept).tolist()]
+    if np.ndim(log_h):
+        log_h = log_h[pos]
+    kept = offsets_of(np.add.reduceat(pos, offsets[:-1], dtype=np.intp))
+    return -x * (np.log(x) - log_h), kept
+
+
+def entropy_rows(flat: np.ndarray, offsets: np.ndarray, k: float = 1.0, log_h=0.0) -> list[float]:
+    """k * fsum(entropy_terms) of every row of a block: the one entropy sum."""
+    values = [k * s for s in segment_fsums(*entropy_terms(flat, offsets, log_h)).tolist()]
     for v in values:
         if not math.isfinite(v):
             EntropyValue(v, k)  # raises: k is bad or the value has overflowed
@@ -57,24 +63,42 @@ def shannon_entropy(p: DiscreteDistribution, k: float = 1.0) -> EntropyValue:
     return EntropyValue(entropy_rows(p.probs, np.array([0, p.n]), k)[0], k)
 
 
+def evaluate(g: Callable[[float], float], p: float, name: str) -> float:
+    """g(p) as a float: the one evaluation of a user-supplied function.
+    Raises EvaluationFailure when the call fails or the value is not finite."""
+    try:
+        v = float(g(p))
+    except (ArithmeticError, ValueError) as e:
+        raise EvaluationFailure(f"{name} failed at p = {p}: {e}") from e
+    if not math.isfinite(v):
+        raise EvaluationFailure(f"{name} not finite at p = {p}")
+    return v
+
+
 @dataclass(frozen=True)
 class PhiFunction:
     """Pointwise entropy kernel phi: [0, 1] -> R, summed over probabilities.
 
-    The value at 0 must be supplied explicitly; only the Shannon kernel
-    carries the 0*ln(0) = 0 convention built in.
+    The value at 0 must be supplied explicitly, finite, or left as nan for
+    undeclared; only the Shannon kernel carries the 0*ln(0) = 0 convention
+    built in.  Every other value goes through evaluate.
     """
 
     evaluator: Callable[[float], float]
     name: str
     zero_value: float = math.nan
 
+    def __post_init__(self) -> None:
+        if math.isinf(self.zero_value):
+            raise ValidationError(f"{self.name}: the value at p = 0 must be finite, got "
+                                  f"{self.zero_value}")
+
     def __call__(self, p: float) -> float:
         if p == 0.0:
             if math.isnan(self.zero_value):
                 raise PhiUndefined(f"{self.name}: no value declared at p = 0")
             return self.zero_value
-        return float(self.evaluator(p))
+        return evaluate(self.evaluator, p, self.name)
 
     def concavity_margin(self, seed: int = 0, n_samples: int = 256) -> float:
         """Worst value of phi(mix) - [lam*phi(p) + (1-lam)*phi(q)] over random
@@ -95,24 +119,18 @@ def shannon_phi() -> PhiFunction:
 
 
 def phi_entropy(p: DiscreteDistribution, phi: PhiFunction) -> float:
-    """sum(phi(p_i)); raises PhiUndefined if the kernel is not finite at
-    some entry."""
-    terms = []
-    for pi in p.probs:
-        v = phi(float(pi))
-        if not math.isfinite(v):
-            raise PhiUndefined(f"{phi.name} is not finite at p = {pi}")
-        terms.append(v)
-    return math.fsum(terms)
+    """sum(phi(p_i)), exactly rounded; raises EvaluationFailure where the
+    kernel or the sum is not finite."""
+    try:
+        return math.fsum(phi(pi) for pi in p.probs.tolist())
+    except OverflowError:
+        raise EvaluationFailure(f"sum of {phi.name} lies beyond the float range") from None
 
 
 def total_entropy(v: BinnedVariable, k: float = 1.0) -> EntropyValue:
     """-k * sum(p_i ln(p_i / h_i)): Shannon entropy plus the expected
     post-observational uncertainty k ln h_i per interval."""
-    p = v.probs
-    h = v.widths
-    mask = p > 0
-    return EntropyValue(k * row_fsum(-p[mask] * (np.log(p[mask]) - np.log(h[mask]))), k)
+    return EntropyValue(entropy_rows(v.probs, np.array([0, v.dist.n]), k, np.log(v.widths))[0], k)
 
 
 def additivity_defect(

@@ -31,14 +31,15 @@ class NotNormalized(ValidationError):
 
 
 class PhiUndefined(EntrokitError):
-    """A pointwise entropy kernel is not finite at a required argument."""
+    """A pointwise entropy kernel has no value declared at p = 0."""
 
 
 # -- functional-equation checks -----------------------------------------------
 
 
 class EvaluationFailure(EntrokitError):
-    """A user-supplied function returned a non-finite value on the grid."""
+    """A user-supplied function or kernel failed, or returned (or summed to)
+    a value that is not finite."""
 
 
 class DegenerateDesign(ValidationError):

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import float_vector
-from .entropy import PhiFunction
-from .errors import DegenerateDesign, EvaluationFailure, NotAdmissible, ValidationError
+from .entropy import PhiFunction, evaluate
+from .errors import DegenerateDesign, NotAdmissible, ValidationError
 
 #: 32 logarithmically spaced probabilities spanning three decades.
 DEFAULT_GRID: tuple[float, ...] = tuple(np.geomspace(1e-3, 1.0, 32).tolist())
@@ -31,16 +31,6 @@ def _checked_grid(grid: Sequence[float], name: str) -> np.ndarray:
     if np.any(arr <= 0.0) or np.any(arr > 1.0):
         raise ValidationError(f"{name} must lie in (0, 1]")
     return arr
-
-
-def _eval(g: Callable[[float], float], x: float) -> float:
-    try:
-        v = float(g(x))
-    except (ArithmeticError, ValueError) as e:
-        raise EvaluationFailure(f"function failed at p = {x}: {e}") from e
-    if not math.isfinite(v):
-        raise EvaluationFailure(f"function not finite at p = {x}")
-    return v
 
 
 def difference_equation_defect(
@@ -56,10 +46,10 @@ def difference_equation_defect(
     """
     ps = _checked_grid(grid_p, "grid_p")
     qs = _checked_grid(grid_q, "grid_q")
-    g_p = np.array([_eval(g, p) for p in ps])
+    g_p = np.array([evaluate(g, p, "function") for p in ps])
     defect = 0.0
     for q in qs:
-        d = np.array([_eval(g, q * p) for p in ps]) - g_p
+        d = np.array([evaluate(g, q * p, "function") for p in ps]) - g_p
         defect = max(defect, float(d.max() - d.min()))
     return defect
 
@@ -72,11 +62,11 @@ def cauchy_defect(
     The pure logarithm A ln p is the canonical solution; adding a constant c
     breaks it by exactly |c|."""
     ps = _checked_grid(grid, "grid")
-    vals = np.array([_eval(g, p) for p in ps])
+    vals = np.array([evaluate(g, p, "function") for p in ps])
     defect = 0.0
     for i, p in enumerate(ps):
         for j, q in enumerate(ps):
-            defect = max(defect, abs(_eval(g, p * q) - vals[i] - vals[j]))
+            defect = max(defect, abs(evaluate(g, p * q, "function") - vals[i] - vals[j]))
     return defect
 
 
@@ -103,7 +93,7 @@ class PhiPrimeSamples:
         cls, g: Callable[[float], float], grid: Sequence[float] = DEFAULT_GRID
     ) -> "PhiPrimeSamples":
         ps = _checked_grid(grid, "grid")
-        return cls(tuple((float(p), _eval(g, p)) for p in ps))
+        return cls(tuple((float(p), evaluate(g, p, "function")) for p in ps))
 
 
 @dataclass(frozen=True)
@@ -116,8 +106,10 @@ class LogAffineFit:
     residual: float
 
     def __post_init__(self) -> None:
-        if self.residual < 0:
-            raise ValidationError("residual must be nonnegative")
+        if not (math.isfinite(self.A) and math.isfinite(self.B)):
+            raise ValidationError(f"A and B must be finite, got A = {self.A}, B = {self.B}")
+        if not 0.0 <= self.residual < math.inf:
+            raise ValidationError(f"residual must be finite and nonnegative, got {self.residual}")
 
     @property
     def admissible(self) -> bool:
@@ -160,7 +152,8 @@ def reconstruct_phi(fit: LogAffineFit, boundary_log_width: float) -> PhiFunction
     so that phi(1) = boundary_log_width exactly.  The boundary term rides on
     p (a per-interval constant absorbed into the linear coefficient), which
     is what makes a sum of per-interval kernels reproduce total entropy up
-    to the constants every entropy normalization discards.
+    to the constants every entropy normalization discards.  A fit whose
+    A - B overflows is refused: PhiFunction takes only a finite phi(0).
     """
     if not fit.admissible:
         raise NotAdmissible(f"slope A = {fit.A} is not strictly negative")

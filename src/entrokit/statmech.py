@@ -14,6 +14,10 @@ indistinguishable ones.
 
 Natural units (m = h = k = 1) are the default; nothing below ever leaves
 the log domain except where explicitly mitigated.
+
+The discretized shell entropy -k sum(w_i f_i ln(C f_i)) is the total
+entropy of the cell masses w_i f_i at widths w_i / C (paper, section 4), so
+it is summed by the one entropy kernel of the entropy module.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .distributions import (
     row_fsum,
     segment_fsums,
 )
+from .entropy import entropy_rows, entropy_terms
 from .errors import InvalidDensity, NonPositiveWidth, ValidationError
 
 FOUR_PI_3 = 4.0 * math.pi / 3.0
@@ -165,8 +170,9 @@ class DiscretizedShellDensity:
         f = float_vector(self.densities, "densities")
         if w.size != f.size:
             raise ValidationError(f"{w.size} cell volumes but {f.size} densities")
-        if not _shell_rows_ok(w, f[None, :])[0]:
-            _raise_shell_row_error(w, f)
+        masses = _cell_masses(w, f)
+        if not probability_rows_ok(masses, np.array([0, w.size]), SHELL_TOLERANCE)[0]:
+            _raise_shell_row_error(masses)
         w.setflags(write=False)
         f.setflags(write=False)
         object.__setattr__(self, "cell_volumes", w)
@@ -194,46 +200,39 @@ def _cell_volumes(x) -> np.ndarray:
     return w
 
 
-def _shell_rows_ok(w: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The one shell-density check, for every row of densities f on cells
-    w > 0: probability_rows_ok on the rows w*f, but with a negative f kept
-    as it is, lest w*f round it to -0.0."""
-    weighted = np.where(f < 0, f, w * f).ravel()
-    return probability_rows_ok(weighted, np.arange(len(f) + 1) * w.size, SHELL_TOLERANCE)
+def _cell_masses(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The cell masses w_i f_i of every row of densities f on cells w > 0,
+    the one place they are formed: a negative f is kept as it is, lest w*f
+    round it to -0.0."""
+    return np.where(f < 0, f, w * f)
 
 
-def _raise_shell_row_error(w: np.ndarray, f: np.ndarray) -> None:
-    """Raise DiscretizedShellDensity's error for a row _shell_rows_ok rejects."""
-    float_vector(f, "densities")  # raises if not finite
-    if np.any(f < 0):
+def _raise_shell_row_error(masses: np.ndarray) -> None:
+    """Raise DiscretizedShellDensity's error for a row of finite densities
+    whose cell masses probability_rows_ok rejects."""
+    if np.any(masses < 0):
         raise InvalidDensity("densities must be nonnegative")
     try:
-        total = row_fsum(w * f)
+        total = row_fsum(masses)
     except OverflowError:
         raise InvalidDensity("sum(w_i f_i) lies beyond the float range") from None
     raise InvalidDensity(f"sum(w_i f_i) = {total}, off by {total - 1.0:+.3e}")
 
 
-def _shell_terms(w: np.ndarray, f: np.ndarray, C: float) -> np.ndarray:
-    """-w_i f_i ln(C f_i) for every cell of every row of densities f, and 0
-    for an empty cell: the terms of the one shell-entropy sum.  Where C f_i
-    leaves the float range (to 0 or inf), ln C + ln f_i stands in for it."""
-    pos = f > 0
-    fp = f[pos]
-    with np.errstate(over="ignore", divide="ignore"):
-        log_cf = np.log(C * fp)
-    out = ~np.isfinite(log_cf)
-    log_cf[out] = math.log(C) + np.log(fp[out])
-    terms = np.zeros(f.shape)
-    terms[pos] = -np.broadcast_to(w, f.shape)[pos] * fp * log_cf
-    return terms
+def _log_widths(w: np.ndarray, C: float) -> np.ndarray:
+    """ln(w_i / C) from mantissas and exponents: finite where w_i / C overflows,
+    and accurate where ln w_i - ln C cancels (w_i near C, both far from 1)."""
+    (mw, ew), (mc, ec) = np.frexp(w), math.frexp(C)
+    return np.log(mw / mc) + (ew - ec) * LN2
 
 
 def shell_entropy(d: DiscretizedShellDensity, C: float, k: float = 1.0) -> float:
-    """Discretized S = -k sum(w_i f_i ln(C f_i)); empty cells contribute 0."""
-    check_positive(k, "k")
+    """Discretized S = -k sum(w_i f_i ln(C f_i)); empty cells contribute 0.
+    It is the total entropy of the cell masses w_i f_i at widths w_i / C."""
     check_positive(C, "C")
-    return k * row_fsum(_shell_terms(d.cell_volumes, d.densities, C))
+    w = d.cell_volumes
+    s = entropy_rows(_cell_masses(w, d.densities), np.array([0, w.size]), k, _log_widths(w, C))
+    return EntropyValue(s[0], k).value
 
 
 @dataclass(frozen=True)
@@ -268,6 +267,7 @@ def maxent_shell_check(
     rng = np.random.default_rng(seed)
     w = d.cell_volumes
     m = w.size
+    log_h = _log_widths(w, C)
     per_block = max(1, BLOCK_ELEMENTS // m)
     for first in range(0, trials, per_block):
         rows = min(per_block, trials - first)
@@ -279,14 +279,14 @@ def maxent_shell_check(
         offsets = np.arange(rows + 1) * m
         candidate = raw / segment_fsums((w * raw).ravel(), offsets)[:, None]
         mixed = (1.0 - t) * uniform.densities + t * candidate
-        ok = _shell_rows_ok(w, mixed)
-        bad = None if ok.all() else int(np.argmin(ok))
-        valid = mixed[:bad]
-        terms = _shell_terms(w, valid, C).ravel()
-        if fsum_decides(terms, offsets[: len(valid) + 1], lambda s: k * s > threshold).any():
+        masses = _cell_masses(w, mixed).ravel()
+        ok = probability_rows_ok(masses, offsets, SHELL_TOLERANCE)
+        valid = rows if ok.all() else int(np.argmin(ok))
+        terms = entropy_terms(masses[: valid * m], offsets[: valid + 1], np.tile(log_h, valid))
+        if fsum_decides(*terms, lambda s: k * s > threshold).any():
             return MaxentReport(entropy=entropy, is_maximal=False)
-        if bad is not None:
-            _raise_shell_row_error(w, mixed[bad])
+        if valid < rows:
+            _raise_shell_row_error(masses[valid * m : (valid + 1) * m])
     return MaxentReport(entropy=entropy, is_maximal=True)
 
 

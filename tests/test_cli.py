@@ -351,7 +351,26 @@ BAD_SUMS = {
 }
 
 
+#: valid input where k S_ST underflows to 0 or k (S - S_ST) overflows: each
+#: must exit 0 with strict-JSON stdout and the rel_diff of nats
+K_EXTREMES = {
+    "ideal-gas-S-ST-underflows-at-k": [
+        "statmech", "ideal-gas", "--E", "1", "--dE", "0.01", "--V", "0.0106", "--N", "1",
+        "--k", "5e-324",
+    ],
+    "ideal-gas-gap-overflows-at-k": [*IDEAL_GAS, "--N", "1", "--k", "3e307"],
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", K_EXTREMES.values(), ids=K_EXTREMES.keys())
+    def test_ideal_gas_at_extreme_k_is_0_with_the_rel_diff_of_nats(self, argv):
+        code, out, _ = invoke(argv)
+        assert code == 0
+        code, nats, _ = invoke(argv[:-2])
+        assert code == 0
+        assert strict_json(out)["rel_diff"] == strict_json(nats)["rel_diff"]
+
     def test_domain_error_is_65_with_envelope(self):
         code, out, err = invoke(["discrete", "--probs", "[0.6,0.5]"])
         assert code == 65
@@ -562,7 +581,7 @@ class TestArgvFuzz:
         else:
             strict_json(out)
 
-    for _argv in (*BAD_VALUES.values(), *BAD_SUMS.values()):
+    for _argv in (*BAD_VALUES.values(), *BAD_SUMS.values(), *K_EXTREMES.values()):
         test_stdout_is_strict_json_and_the_exit_code_documented = example(_argv)(
             test_stdout_is_strict_json_and_the_exit_code_documented
         )

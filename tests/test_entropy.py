@@ -10,6 +10,8 @@ from entrokit import (
     BinnedVariable,
     DiscreteDistribution,
     DiscretizedShellDensity,
+    EvaluationFailure,
+    LogAffineFit,
     PhiFunction,
     PhiUndefined,
     ValidationError,
@@ -17,6 +19,7 @@ from entrokit import (
     maxent_shell_check,
     phi_entropy,
     random_distribution,
+    reconstruct_phi,
     robin_hood_pair,
     run_axiom_suite,
     schur_concavity_check,
@@ -115,6 +118,35 @@ class TestPhiEntropy:
         convex = PhiFunction(lambda p: p * p, name="p^2", zero_value=0.0)
         assert concave.concavity_margin(seed=1) >= -1e-12
         assert convex.concavity_margin(seed=1) < -1e-4
+
+
+HALVES = DiscreteDistribution(np.array([0.5, 0.5]))
+#: a kernel or user function that fails, or whose values or sum are not
+#: finite, and the error it must raise instead of a bare error or a number
+KERNEL_FAULTS = {
+    "kernel-raises-zero-division": (
+        lambda: phi_entropy(HALVES, PhiFunction(lambda p: 1.0 / (p - 0.5), "pole", 0.0)),
+        EvaluationFailure,
+    ),
+    "kernel-sum-overflows": (
+        lambda: phi_entropy(HALVES, PhiFunction(lambda p: 1e308, "huge", 0.0)),
+        EvaluationFailure,
+    ),
+    "concavity-margin-of-a-non-finite-kernel": (
+        lambda: PhiFunction(lambda p: math.inf, "inf", 0.0).concavity_margin(),
+        EvaluationFailure,
+    ),
+    "reconstructed-kernel-where-A-minus-B-overflows": (
+        lambda: reconstruct_phi(LogAffineFit(-1e308, 1e308, 0.0), 1e308)(0.5),
+        ValidationError,
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error", KERNEL_FAULTS.values(), ids=KERNEL_FAULTS.keys())
+def test_kernel_faults_raise_their_error(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestTotalEntropy:

@@ -135,6 +135,20 @@ class TestFitLogAffine:
         assert fit.B == pytest.approx(b, rel=1e-7, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LogAffineFit(-1.0, 0.0, math.nan),
+        lambda: LogAffineFit(math.nan, 0.0, 0.0),
+        lambda: reconstruct_phi(LogAffineFit(-1e308, 1e308, 0.0), 0.0),
+    ],
+    ids=["residual-nan", "A-nan", "A-minus-B-overflows"],
+)
+def test_non_finite_fits_are_refused(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
 class TestReconstructPhi:
     def test_boundary_at_unit_width(self):
         phi = reconstruct_phi(LogAffineFit(A=-1.0, B=0.0, residual=0.0), 0.0)

@@ -128,14 +128,18 @@ def test_shannon_entropy_is_k_times_the_fsum_of_its_terms(case, k):
 @given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.floats(0.01, 100.0),
        st.sampled_from([1.0, BITS_K, 2.5]))
 def test_shell_entropy_is_k_times_the_fsum_of_its_terms(m, seed, C, k):
+    # the total entropy of the cell masses p = w f at widths h = w / C, with
+    # ln h formed from the mantissas and exponents of w and C
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.5, 2.0, m)
     raw = rng.exponential(size=m) * (rng.random(m) < 0.8)  # some empty cells
     raw[0] += 1.0
     d = DiscretizedShellDensity(w, raw / math.fsum((w * raw).tolist()))
-    f = d.densities
-    mask = f > 0
-    expected = k * math.fsum((-w[mask] * f[mask] * np.log(C * f[mask])).tolist())
+    p = w * d.densities
+    mask = p > 0
+    (mw, ew), (mc, ec) = np.frexp(w), math.frexp(C)
+    log_h = np.log(mw / mc) + (ew - ec) * math.log(2.0)
+    expected = k * math.fsum((-p[mask] * (np.log(p[mask]) - log_h[mask])).tolist())
     assert shell_entropy(d, C, k) == expected
 
 

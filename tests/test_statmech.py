@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrokit import (
@@ -332,6 +332,44 @@ class TestMaxentShellCheck:
         assert entropy == pytest.approx(float(expected), rel=1e-15)
         report = maxent_shell_check(d, C, trials=50)
         assert (report.entropy, report.is_maximal) == (entropy, True)
+
+
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.floats(-300.0, 300.0),
+           st.floats(-300.0, 300.0), st.sampled_from([1.0, 1.0 / math.log(2.0), 2.5]))
+    @example(2, 0, 297.0, 297.3, 1.0)  # cells near C, both near 1e297
+    @example(1, 0, -297.0, 300.0, 1.0)  # C f_i overflows a double
+    @example(64, 1, 297.0, -300.0, 2.5)  # C f_i underflows a double
+    @settings(max_examples=60, deadline=None)
+    def test_shell_entropy_matches_mpmath(self, m, seed, w_decade, c_decade, k):
+        # cells spread over six decades around 10**w_decade, and C
+        # log-uniform in 1e-300..1e300.  The value is summed from ln p_i and
+        # ln h_i (masses p_i = w_i f_i, widths h_i = w_i / C), each a few
+        # ulps of its size off, so the error is bounded by
+        # 2^-50 k sum p_i (1 + |ln p_i| + |ln h_i|).  That is 2^-50 k sum|terms|
+        # but for the cancellation where C f_i is near 1, which rounding
+        # C f_i or w_i f_i alone turns into a relative error of any size.
+        rng = np.random.default_rng(seed)
+        w = 10.0 ** (w_decade + rng.uniform(-3.0, 3.0, m))
+        raw = rng.exponential(size=m) * (rng.random(m) < 0.8)  # some empty cells
+        raw[0] += 1.0
+        d = DiscretizedShellDensity(w, raw / math.fsum((w * raw).tolist()))
+        C = 10.0**c_decade
+        with mpmath.workdps(50):
+            K, c = mpmath.mpf(k), mpmath.mpf(C)
+            cells = [(mpmath.mpf(wi) * mpmath.mpf(fi), mpmath.log(mpmath.mpf(wi) / c))
+                     for wi, fi in zip(d.cell_volumes.tolist(), d.densities.tolist()) if fi > 0]
+            exact = -K * mpmath.fsum(p * (mpmath.log(p) - log_h) for p, log_h in cells)
+            bound = 2**-50 * K * mpmath.fsum(
+                p * (1 + abs(mpmath.log(p)) + abs(log_h)) for p, log_h in cells
+            )
+            assert abs(shell_entropy(d, C, k) - exact) <= bound
+
+    @pytest.mark.parametrize("call", [shell_entropy, maxent_shell_check])
+    def test_entropy_beyond_the_float_range_is_a_validation_error(self, call):
+        # S = ln 40 nats, so k S overflows a double
+        d = DiscretizedShellDensity.uniform(np.full(4, 1.0))
+        with pytest.raises(ValidationError, match="entropy value must be finite"):
+            call(d, 0.1, k=1e308)
 
 
 class TestEntropyFormComparison:
