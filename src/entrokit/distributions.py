@@ -247,7 +247,8 @@ class DensitySpec:
             return np.diff(np.clip(edges, a, b)) / (b - a)
         if self.family is DensityFamily.GAUSSIAN:
             mu, sigma = self.params["mu"], self.params["sigma"]
-            t = (edges - mu) / (sigma * SQRT2)
+            with np.errstate(over="ignore"):  # a tiny sigma: t is +-inf, erfc's limit
+                t = (edges - mu) / (sigma * SQRT2)
             # 2 P(X beyond x), on x's own side of the mean: one erfc per
             # edge, and the complement 2 - e only on the bulk side
             e = np.fromiter(map(math.erfc, np.abs(t).tolist()), float, t.size)
@@ -257,7 +258,8 @@ class DensitySpec:
             return 0.5 * np.where(right[:-1], upper[:-1] - upper[1:], lower[1:] - lower[:-1])
         rate = self.params["rate"]
         x = np.maximum(edges, 0.0)
-        return np.exp(-rate * x[:-1]) * -np.expm1(-rate * np.diff(x))
+        with np.errstate(over="ignore"):  # a huge rate x: -inf, the limit exp reads
+            return np.exp(-rate * x[:-1]) * -np.expm1(-rate * np.diff(x))
 
     def entropy_integral(self) -> tuple[float, float]:
         """Closed form of -integral f ln f over the support, together with
@@ -397,8 +399,10 @@ def product_distribution(
 ) -> DiscreteDistribution:
     """Joint distribution of two independent experiments.
 
-    Entries are p_j * q_a in row-major order (j outer, a inner).
+    Entries are p_j * q_a in row-major order (j outer, a inner); there
+    are at most MAX_ROW of them.
     """
+    check_count(p.n * q.n, "p.n * q.n", 1, MAX_ROW)
     joint = np.outer(p.probs, q.probs).ravel()
     tol = product_tolerance(max(p.tolerance, q.tolerance), p.n + q.n)
     return DiscreteDistribution(joint, tolerance=float(tol))
@@ -407,11 +411,13 @@ def product_distribution(
 # -- ragged row blocks ---------------------------------------------------------
 #
 # A block is one flat array holding rows end to end, with row i at
-# flat[offsets[i]:offsets[i + 1]].  Values that reach a report are exact
-# row sums, math.fsum's bits, from segment_fsums: a few numpy passes over
-# the whole block, with fsum itself only for the rows those passes cannot
-# certify.  Pass/fail decisions take one cheaper np.sum pass and fall back
-# to fsum only for rows too close to the threshold to tell.
+# flat[offsets[i]:offsets[i + 1]].  No row is empty: np.add.reduceat would
+# read an empty row as the element at its offset.  Values that reach a
+# report are exact row sums, math.fsum's bits, from segment_fsums: a few
+# numpy passes over the whole block, with fsum itself only for the rows
+# those passes cannot certify.  Pass/fail decisions take one cheaper np.sum
+# pass and fall back to fsum only for rows too close to the threshold to
+# tell.
 
 # The certified sum leaves to fsum a row whose extraction constant
 # 2^(ceil log2(n + 2)) * 2^e (max|x| < 2^e) would pass 2^EXTRACT_MAX_EXP, so
@@ -430,7 +436,7 @@ def offsets_of(sizes) -> np.ndarray:
 
 
 def ragged(rows) -> tuple[np.ndarray, np.ndarray]:
-    """The flat array and the offsets of a block of non-empty rows."""
+    """The flat array and the offsets of a block of rows."""
     return np.concatenate(rows), offsets_of([r.size for r in rows])
 
 
@@ -452,7 +458,7 @@ def _fsum(row: np.ndarray) -> float:
 
 def segment_fsums(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """math.fsum of every row, bit for bit: the exact sums that reports
-    carry.  An empty row sums to 0.0.
+    carry.
 
     One error-free extraction (Rump, Ogita and Oishi, "Accurate
     floating-point summation", SIAM J. Sci. Comput. 31, 2008): with
@@ -475,12 +481,6 @@ def segment_fsums(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     fsum's sign of zero).  So every value, and every error fsum raises, is
     fsum's."""
     n = offsets[1:] - offsets[:-1]
-    if not n.all():  # an empty row sums to 0.0, as fsum's does
-        rows = np.flatnonzero(n)
-        sums = np.zeros(n.size)
-        if rows.size:
-            sums[rows] = segment_fsums(flat, np.append(offsets[rows], offsets[-1]))
-        return sums
     starts = offsets[:-1]
     with np.errstate(invalid="ignore", over="ignore"):
         # ceil(log2(n + 2)) + e
@@ -513,9 +513,9 @@ def row_fsum(x: np.ndarray) -> float:
 
 
 def fsum_decides(flat: np.ndarray, offsets: np.ndarray, *predicates) -> np.ndarray:
-    """Whether every predicate holds at math.fsum(row), for every non-empty
-    row.  A predicate maps an array of row sums to bools and must be
-    monotone in each sum.
+    """Whether every predicate holds at math.fsum(row), for every row.  A
+    predicate maps an array of row sums to bools and must be monotone in
+    each sum.
 
     One np.sum pass gives each row sum to within _sum_error_bound.  Each
     predicate is taken at both ends of that interval, and only a row where

@@ -38,20 +38,16 @@ MAJORIZATION_TOL = 1e-12
 PINSKER_SLACK = 1e-12
 
 
-def entropy_terms(flat: np.ndarray, offsets: np.ndarray, log_h=0.0):
-    """-p (ln p - ln h) over the entries p > 0 of a block of non-empty rows, ln h a scalar (0
-    for Shannon) or one per entry, with the rows' offsets: total entropy's terms (section 3)."""
-    pos = flat > 0
-    x = flat[pos]
-    if np.ndim(log_h):
-        log_h = log_h[pos]
-    kept = offsets_of(np.add.reduceat(pos, offsets[:-1], dtype=np.intp))
-    return -x * (np.log(x) - log_h), kept
+def entropy_terms(flat: np.ndarray, log_h=0.0) -> np.ndarray:
+    """-p (ln p - ln h) for every entry p, shaped like flat and 0 where p = 0, with ln h
+    a scalar (0 for Shannon) or an array that broadcasts against flat: total
+    entropy's terms (section 3).  A block's terms keep the block's offsets."""
+    return -flat * (np.log(flat, out=np.zeros_like(flat), where=flat > 0) - log_h)
 
 
 def entropy_rows(flat: np.ndarray, offsets: np.ndarray, k: float = 1.0, log_h=0.0) -> list[float]:
     """k * fsum(entropy_terms) of every row of a block: the one entropy sum."""
-    values = [k * s for s in segment_fsums(*entropy_terms(flat, offsets, log_h)).tolist()]
+    values = [k * s for s in segment_fsums(entropy_terms(flat, log_h), offsets).tolist()]
     for v in values:
         if not math.isfinite(v):
             EntropyValue(v, k)  # raises: k is bad or the value has overflowed
@@ -102,14 +98,19 @@ class PhiFunction:
 
     def concavity_margin(self, seed: int = 0, n_samples: int = 256) -> float:
         """Worst value of phi(mix) - [lam*phi(p) + (1-lam)*phi(q)] over random
-        p, q, lam in (0, 1); >= -1e-12 for a concave kernel."""
+        p, q, lam in (0, 1); >= -1e-12 for a concave kernel.  Raises
+        EvaluationFailure where a gap is not finite."""
         check_count(seed, "seed", 0)
         check_count(n_samples, "n_samples", 1)
         rng = np.random.default_rng(seed)
         worst = math.inf
         for _ in range(n_samples):
-            p, q, lam = rng.uniform(1e-12, 1.0, size=3)
+            # Python floats: a gap beyond the float range is inf, not a numpy warning
+            p, q, lam = rng.uniform(1e-12, 1.0, size=3).tolist()
             gap = self(lam * p + (1 - lam) * q) - (lam * self(p) + (1 - lam) * self(q))
+            if not math.isfinite(gap):
+                raise EvaluationFailure(f"{self.name}: concavity gap not finite at "
+                                        f"p = {p}, q = {q}, lam = {lam}")
             worst = min(worst, gap)
         return worst
 

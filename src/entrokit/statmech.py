@@ -268,6 +268,10 @@ def maxent_shell_check(
     w = d.cell_volumes
     m = w.size
     log_h = _log_widths(w, C)
+    # w * raw overflows for cells near the float limit where the cells
+    # scaled by 2^-e (w.max() < 2^e) do not; power-of-two scaling is exact
+    e = math.frexp(float(w.max()))[1]
+    scaled = np.ldexp(w, -e)
     per_block = max(1, BLOCK_ELEMENTS // m)
     for first in range(0, trials, per_block):
         rows = min(per_block, trials - first)
@@ -277,16 +281,17 @@ def maxent_shell_check(
             raw[i] = rng.exponential(size=m)
             t[i] = 1.0 - rng.random()  # in (0, 1]: never the uniform point itself
         offsets = np.arange(rows + 1) * m
-        candidate = raw / segment_fsums((w * raw).ravel(), offsets)[:, None]
+        norm = segment_fsums((scaled * raw).ravel(), offsets)[:, None]
+        candidate = np.ldexp(raw / norm, -e)
         mixed = (1.0 - t) * uniform.densities + t * candidate
-        masses = _cell_masses(w, mixed).ravel()
-        ok = probability_rows_ok(masses, offsets, SHELL_TOLERANCE)
+        masses = _cell_masses(w, mixed)
+        ok = probability_rows_ok(masses.ravel(), offsets, SHELL_TOLERANCE)
         valid = rows if ok.all() else int(np.argmin(ok))
-        terms = entropy_terms(masses[: valid * m], offsets[: valid + 1], np.tile(log_h, valid))
-        if fsum_decides(*terms, lambda s: k * s > threshold).any():
+        terms = entropy_terms(masses[:valid], log_h).ravel()
+        if fsum_decides(terms, offsets[: valid + 1], lambda s: k * s > threshold).any():
             return MaxentReport(entropy=entropy, is_maximal=False)
         if valid < rows:
-            _raise_shell_row_error(masses[valid * m : (valid + 1) * m])
+            _raise_shell_row_error(masses[valid])
     return MaxentReport(entropy=entropy, is_maximal=True)
 
 

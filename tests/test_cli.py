@@ -569,6 +569,10 @@ def argvs(draw):
 class TestArgvFuzz:
     @settings(max_examples=200, deadline=None)
     @given(argvs())
+    # bin-edge arguments beyond the float range, which numpy warns of
+    @example(["quantize", '--density={"family": "gaussian", "mu": 0.0, "sigma": 5e-324}',
+              "--h=1e+308"])
+    @example(["quantize", '--density={"family": "exponential", "rate": 1e+308}', "--h=1e+308"])
     def test_stdout_is_strict_json_and_the_exit_code_documented(self, argv):
         code, out, _ = invoke(argv)
         assert code in (0, 2, 65, 66)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -28,6 +29,7 @@ from entrokit import (
 )
 
 from entrokit.distributions import (
+    MAX_ROW,
     check_probability_rows,
     fsum_decides,
     normalized_rows,
@@ -102,6 +104,17 @@ class TestProductDistribution:
         p = validate_distribution([0.5, 0.5])
         prod = product_distribution(p, p)
         np.testing.assert_array_equal(prod.probs, [0.25, 0.25, 0.25, 0.25])
+
+    def test_joint_size_is_bounded_before_it_is_allocated(self):
+        p = DiscreteDistribution(np.full(2049, 1.0 / 2049))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"<= {MAX_ROW}"):
+                product_distribution(p, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @given(same_length_pairs(min_n=1, max_n=12))
     def test_output_valid_at_scaled_tolerance(self, pq):

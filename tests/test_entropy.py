@@ -136,6 +136,12 @@ KERNEL_FAULTS = {
         lambda: PhiFunction(lambda p: math.inf, "inf", 0.0).concavity_margin(),
         EvaluationFailure,
     ),
+    "concavity-margin-whose-gap-overflows": (
+        lambda: PhiFunction(
+            lambda p: -1.7e308 if 0.4 < p < 0.6 else 1.7e308, "band", 0.0
+        ).concavity_margin(),
+        EvaluationFailure,
+    ),
     "reconstructed-kernel-where-A-minus-B-overflows": (
         lambda: reconstruct_phi(LogAffineFit(-1e308, 1e308, 0.0), 1e308)(0.5),
         ValidationError,

@@ -20,6 +20,7 @@ from entrokit import (
     InvalidDensity,
     NotNormalized,
     ValidationError,
+    shannon_entropy,
     total_entropy,
 )
 from entrokit.distributions import fsum_decides, normalized_rows, ragged, segment_fsums
@@ -81,12 +82,6 @@ class TestSegmentFsums:
         errors = [e for e in expected if isinstance(e, tuple)]
         # a block raises the error of its first row that fsum raises on
         assert block_outcome(rows_) == (errors[0] if errors else expected)
-
-    def test_empty_rows_sum_to_zero(self):
-        flat = np.array([1.0, 2.0, 3.0])
-        offsets = np.array([0, 0, 2, 2, 3, 3])
-        assert segment_fsums(flat, offsets).tolist() == [0.0, 3.0, 0.0, 3.0, 0.0]
-        assert segment_fsums(np.array([]), np.array([0])).tolist() == []
 
     def test_long_rows(self):
         rng = np.random.default_rng(11)
@@ -170,10 +165,16 @@ class TestUniformShellDensity:
         assert d.densities.tolist() == [1.0 / math.fsum(w.tolist())] * 4
 
 
-@given(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=30), st.floats(1e-3, 1e3))
-def test_total_entropy_is_k_times_the_fsum_of_its_terms(weights, k):
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=30)
+       .filter(any), st.floats(1e-3, 1e3), st.booleans())
+def test_total_entropy_is_k_times_the_fsum_of_its_terms(weights, k, shannon):
+    # zero weights give no term (0 ln 0 = 0); unit widths give Shannon entropy
     p = np.array(weights) / math.fsum(weights)
-    h = np.linspace(0.5, 2.0, p.size)
-    v = BinnedVariable(values=np.arange(p.size), dist=DiscreteDistribution(p, 1e-6), widths=h)
-    expected = k * math.fsum((-p * (np.log(p) - np.log(h))).tolist())
+    h = np.ones(p.size) if shannon else np.linspace(0.5, 2.0, p.size)
+    d = DiscreteDistribution(p, 1e-6)
+    v = BinnedVariable(values=np.arange(p.size), dist=d, widths=h)
+    pos = p > 0
+    expected = k * math.fsum((-p[pos] * (np.log(p[pos]) - np.log(h[pos]))).tolist())
     assert total_entropy(v, k).value == expected
+    if shannon:
+        assert shannon_entropy(d, k).value == expected

@@ -364,6 +364,18 @@ class TestMaxentShellCheck:
             )
             assert abs(shell_entropy(d, C, k) - exact) <= bound
 
+    @pytest.mark.parametrize(
+        "cells",
+        [np.full(10, 1.6e307), np.full(2, 8e307), np.array([1e-300, 1.7e308]),
+         np.full(5, 1e300)],
+        ids=["ten-at-1.6e307", "two-at-8e307", "1e-300-and-1.7e308", "five-at-1e300"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_maxent_on_cells_near_the_float_limit(self, cells):
+        # the cells sum to a finite value, but w_i times a draw need not be
+        # one; the uniform density is still the maximizer
+        assert maxent_shell_check(DiscretizedShellDensity.uniform(cells), C=1.0).is_maximal
+
     @pytest.mark.parametrize("call", [shell_entropy, maxent_shell_check])
     def test_entropy_beyond_the_float_range_is_a_validation_error(self, call):
         # S = ln 40 nats, so k S overflows a double
