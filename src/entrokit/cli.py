@@ -3,8 +3,9 @@
 Envelope contract: on success one JSON object (or CSV where requested) on
 stdout; on failure {"error": {"kind": ..., "message": ...}} on stdout with
 diagnostics on stderr.  Exit codes: 0 success, 2 usage, 65 domain/data
-error, 66 missing input file, 70 internal failure.  Output is deterministic
-for fixed argv and seed; floats are serialized in full round-trip precision.
+error, 66 input path missing or not a regular file, 70 internal failure.
+Output is deterministic for fixed argv and seed; floats are serialized in
+full round-trip precision.
 """
 
 from __future__ import annotations
@@ -146,8 +147,10 @@ def _input_text(ns: argparse.Namespace, flag: str) -> str:
     if value is not None and value.lstrip()[:1] in ("[", "{"):
         return value
     path = ns.input if value is None else value
-    if not Path(path).is_file():
+    if not Path(path).exists():
         raise FileNotFoundError(f"input file not found: {path}")
+    if not Path(path).is_file():
+        raise FileNotFoundError(f"input path {path} is not a regular file")
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:

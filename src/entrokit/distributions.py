@@ -32,9 +32,12 @@ DEFAULT_TOLERANCE = 1e-9
 TRUNCATION_EPS = 1e-13
 
 # Most elements one batch block of ragged rows holds (a single larger row
-# makes a block of its own): enough for the per-block numpy calls to
-# amortize, few enough that a block's arrays and term lists stay small.
-BLOCK_ELEMENTS = 4096
+# makes a block of its own).  Each block pays a fixed set of numpy calls, so
+# larger blocks pay them less often; the block's arrays set the memory peak.
+# At 16,384 a default axiom suite and a 4,096-cell max-entropy check peak
+# near 1.4 and 1.3 MiB under tracemalloc, within their 2 MiB test ceiling;
+# at 65,536 they peak near 4.9 and 4.6 MiB.
+BLOCK_ELEMENTS = 16384
 
 # Most elements one row may hold: the bins of one grid, the joint
 # distribution of one suite pair (32 MiB per float array).  Checked before
@@ -526,9 +529,9 @@ def fsum_decides(flat: np.ndarray, offsets: np.ndarray, *predicates) -> np.ndarr
     where the sum itself overflows, which every finite threshold decides
     as it would the exact sum.
 
-    On a block of 4,096 elements this pass costs a third to a half of an
-    exact segment_fsums, and the band holds few rows, so decisions do not
-    take exact sums."""
+    On a block of 16,384 elements, in rows of 4 to 4,096, this pass costs
+    a sixth to a third of an exact segment_fsums, and the band holds few
+    rows, so decisions do not take exact sums."""
     starts = offsets[:-1]
     with np.errstate(invalid="ignore", over="ignore"):  # such rows fall back
         sums = np.add.reduceat(flat, starts)

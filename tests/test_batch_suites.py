@@ -33,8 +33,9 @@ from entrokit.distributions import BLOCK_ELEMENTS, offsets_of
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "axiom_golden.json").read_text())
 
-# Blocks hold about 4,096 elements, so both suites peak near 1 MiB; a batch
-# over a whole phase at once peaks above 30 MiB.
+# Blocks hold about 16,384 elements, so a default suite and a 4,096-cell
+# max-entropy check peak near 1.4 and 1.3 MiB; a batch over a whole phase at
+# once peaks above 30 MiB.
 PEAK_CEILING = 2 * 2**20
 
 
@@ -158,7 +159,8 @@ def _new_lows(values):
     return lows
 
 
-@pytest.mark.parametrize("m", [64, 1000, 5000])  # 64 and 4 trials a block; 1 trial a block
+# all 80 trials in one block; 3 trials a block; 1 trial a block
+@pytest.mark.parametrize("m", [64, BLOCK_ELEMENTS // 4 + 1, BLOCK_ELEMENTS])
 def test_maxent_decisions_match_the_per_trial_loop(m, monkeypatch):
     """Make chosen trials exceed the threshold (a negative slack) or fail the
     normalization check (a tolerance below their error), at positions inside
@@ -192,6 +194,30 @@ def test_maxent_decisions_match_the_per_trial_loop(m, monkeypatch):
             assert maxent_shell_check(d, C, trials=trials, seed=seed).is_maximal is False
             outcomes.add("exceeds")
     assert outcomes == {"invalid", "exceeds"}
+
+
+def test_maxent_report_does_not_depend_on_the_block_size(monkeypatch):
+    """The trials are drawn one by one in the same order whatever the block
+    size, so blocks of one trial, of a few and of all of them give the same
+    report, and a planted negative slack stops the check at the same trial."""
+    d, C, trials, seed = _cells(64), 1.0, 80, 3
+    w = d.cell_volumes
+    s_uniform = shell_entropy(DiscretizedShellDensity.uniform(w), C)
+    deficit = [s_uniform - shell_entropy(DiscretizedShellDensity(w, mixed), C)
+               for mixed in _trials(d, trials, seed)]
+    first_exceeding = _new_lows(deficit)
+    assert first_exceeding
+    slack = statmech.MAXENT_SLACK
+    expected = maxent_shell_check(d, C, trials=trials, seed=seed)
+    assert expected.is_maximal
+    for block in (1, w.size, 4 * w.size):
+        monkeypatch.setattr(statmech, "BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(statmech, "MAXENT_SLACK", slack)
+        assert maxent_shell_check(d, C, trials=trials, seed=seed) == expected
+        for i, cut in first_exceeding:
+            monkeypatch.setattr(statmech, "MAXENT_SLACK", -cut)
+            assert maxent_shell_check(d, C, trials=i, seed=seed).is_maximal
+            assert not maxent_shell_check(d, C, trials=i + 1, seed=seed).is_maximal
 
 
 def _peak(fn):

@@ -591,6 +591,57 @@ class TestArgvFuzz:
         )
     del _argv
 
+    # JSON shapes beyond flat arrays, for each JSON flag, with their exit
+    # codes.  discrete and total ignore an unknown key; density refuses one.
+    SHAPES = {
+        "probs-nested": (["discrete", "--probs", "[[0.5],[0.5]]"], 65),
+        "probs-nested-in-object": (["discrete", "--probs", '{"probs":[[0.5,0.5]]}'], 65),
+        "probs-empty": (["discrete", "--probs", "[]"], 65),
+        "probs-empty-in-object": (["discrete", "--probs", '{"probs":[]}'], 65),
+        "probs-extra-key": (["discrete", "--probs", '{"probs":[0.5,0.5],"x":1}'], 0),
+        "data-nested": (["total", "--data", "[[0.5,0.5]]"], 65),
+        "data-nested-values": (
+            ["total", "--data", '{"values":[[0,1]],"probs":[0.5,0.5],"widths":[1,2]}'], 65),
+        "data-empty": (["total", "--data", '{"values":[],"probs":[],"widths":[]}'], 65),
+        "data-extra-key": (
+            ["total", "--data", '{"values":[0,1],"probs":[0.5,0.5],"widths":[1,2],"x":1}'], 0),
+        "density-nested": (["differential", "--density", "[[1]]"], 65),
+        "density-nested-parameter": (
+            ["differential", "--density", '{"family":"gaussian","mu":[0],"sigma":1}'], 65),
+        "density-empty": (["differential", "--density", "[]"], 65),
+        "density-empty-object": (["differential", "--density", "{}"], 65),
+        "density-extra-key": (
+            ["differential", "--density", '{"family":"gaussian","mu":0,"sigma":1,"x":1}'], 65),
+    }
+
+    @pytest.mark.parametrize("argv, expected", SHAPES.values(), ids=SHAPES.keys())
+    def test_json_shapes_beyond_flat_arrays(self, argv, expected):
+        code, out, _ = invoke(argv)
+        assert code == expected
+        strict_json(out)
+
+    @pytest.mark.parametrize(
+        "argv", [["discrete", "--probs"], ["discrete", "--input"], ["total", "--data"],
+                 ["differential", "--density"]],
+        ids=["probs", "input", "data", "density"])
+    @pytest.mark.parametrize("kind, expected, message", [
+        ("missing", 66, "input file not found: "),
+        ("directory", 66, " is not a regular file"),
+        ("empty", 65, "invalid JSON: "),
+        ("not-utf8", 65, " is not UTF-8 text"),
+    ], ids=["missing", "directory", "empty", "not-utf8"])
+    def test_file_inputs(self, tmp_path, argv, kind, expected, message):
+        path = tmp_path / kind
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "empty":
+            path.write_bytes(b"")
+        elif kind == "not-utf8":
+            path.write_bytes(b'{"probs": [0.5, 0.5], "note": "\xff"}')
+        code, out, _ = invoke([*argv, str(path)])
+        assert code == expected
+        assert message in strict_json(out)["error"]["message"]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
