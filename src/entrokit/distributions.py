@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from statistics import NormalDist
 from typing import Any
@@ -52,27 +51,60 @@ SQRT2 = math.sqrt(2.0)
 HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def check_positive(
-    x: float, name: str, error: type[ValidationError] = ValidationError
-) -> float:
-    """The one check for every width, scale and unit constant: positive, finite."""
-    if not (x > 0 and math.isfinite(x)):
-        raise error(f"{name} must be a positive finite real, got {x}")
-    return x
+# the types of a real a caller hands in, alone or in a list or tuple; bool
+# is an int, and is refused by name wherever these are tested
+REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def check_real(x, name: str, error: type[ValidationError] = ValidationError) -> float:
+    """The one check for every scalar a caller hands in: a finite int or
+    float, Python or numpy, never a bool or a string, as a Python float."""
+    if isinstance(x, bool) or not isinstance(x, REAL_TYPES):
+        raise error(f"{name} takes reals: ints and floats, never bools or strings; got {x!r:.40}")
+    try:
+        v = float(x)
+    except OverflowError:  # an int beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise error(f"{name} must be finite, got {x!r:.40}")
+    return v
+
+
+def check_positive(x, name: str, error: type[ValidationError] = ValidationError) -> float:
+    """The one check for every width, scale and unit constant: a positive check_real."""
+    if isinstance(x, bool) or not (isinstance(x, REAL_TYPES) and 0 < x < math.inf):
+        raise error(f"{name} must be a positive finite real, got {x!r:.40}")
+    return check_real(x, name, error)
 
 
 def check_count(x, name: str, least: int, most: float | None = None) -> int:
-    """The one check for every count: an integer no smaller than `least`
-    and, when `most` is given, no larger than it."""
-    if not (isinstance(x, (int, np.integer)) and x >= least):
+    """The one check for every count: an integer, never a bool, no smaller
+    than `least` and, when `most` is given, no larger than it."""
+    if isinstance(x, bool) or not (isinstance(x, (int, np.integer)) and x >= least):
         raise ValidationError(f"{name} must be an integer >= {least}, got {x!r}")
     if most is not None and x > most:
         raise ValidationError(f"{name} must be an integer <= {most}, got {x!r}")
     return int(x)
 
 
+def check_keys(obj, keys: tuple[str, ...], what: str) -> None:
+    """The one check of a wire object: a dict holding exactly `keys`."""
+    if not (isinstance(obj, dict) and obj.keys() == set(keys)):
+        got = tuple(obj) if isinstance(obj, dict) else obj
+        raise ValidationError(f"{what} must hold exactly the keys {keys}, got {got!r:.80}")
+
+
 def float_vector(x, name: str) -> np.ndarray:
-    """The one check for every stored vector: non-empty, 1-D and finite."""
+    """The one check for every stored vector: a list, tuple or numpy array
+    of check_real's types, non-empty, 1-D and finite, as a fresh array."""
+    if isinstance(x, np.ndarray):
+        reals = x.dtype.kind in "iuf"
+    else:
+        types = set(map(type, x)) if isinstance(x, (list, tuple)) else {type(x)}
+        reals = all(issubclass(t, REAL_TYPES) and not issubclass(t, bool) for t in types)
+    if not reals:
+        raise ValidationError(f"{name} must be reals in a list, tuple or array, never bools "
+                              f"or strings; got {x!r:.60}")
     # always a fresh array: carriers freeze their storage, which must never
     # reach back into caller-owned buffers
     try:
@@ -103,7 +135,7 @@ class DiscreteDistribution:
         probs = float_vector(self.probs, "probs")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        if not (0 < self.tolerance < 1):
+        if not 0 < check_real(self.tolerance, "tolerance") < 1:
             raise ValidationError(f"tolerance must be in (0, 1), got {self.tolerance}")
         check_probability_rows(probs, np.array([0, probs.size]), self.tolerance)
 
@@ -134,7 +166,7 @@ class BinnedVariable:
             )
         if np.any(widths <= 0):
             raise ValidationError("all widths must be > 0")
-        if np.any(np.diff(values) <= 0):
+        if np.any(values[1:] <= values[:-1]):
             raise ValidationError("values must be strictly increasing")
         values.setflags(write=False)
         widths.setflags(write=False)
@@ -159,6 +191,10 @@ class DensityFamily(str, Enum):
     EXPONENTIAL = "exponential"
 
 
+# the parameters of each family, in the order its constructor takes them
+FAMILY_PARAMETERS = {"uniform": ("a", "b"), "gaussian": ("mu", "sigma"), "exponential": ("rate",)}
+
+
 @dataclass(frozen=True)
 class DensitySpec:
     """Continuous density from a named parametric family with an explicit
@@ -170,7 +206,7 @@ class DensitySpec:
 
     family: DensityFamily
     params: dict[str, float]
-    support: tuple[float, float] = field(default=(math.nan, math.nan))
+    support: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         try:
@@ -181,17 +217,14 @@ class DensitySpec:
                 f"{[f.value for f in DensityFamily]}"
             ) from None
         object.__setattr__(self, "family", family)
-        try:
-            params = {k: float(v) for k, v in self.params.items()}
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"density parameters must be reals, got {self.params}") from None
+        check_keys(self.params, FAMILY_PARAMETERS[family.value], f"{family.value} parameters")
+        params = {k: check_real(v, f"parameter {k}") for k, v in self.params.items()}
         object.__setattr__(self, "params", params)
-        # the implied support is checked even when a declared one replaces
-        # it: a non-finite mu, a or b, or a mean so large that the truncated
-        # support collapses to a point, shows up there
+        # the implied support is checked even when a declared one replaces it:
+        # a mean so large that the truncated support collapses is refused there
         supports = [("implied", self._natural_support(family, params))]
-        if not math.isnan(self.support[0]):
-            supports.append(("declared", (float(self.support[0]), float(self.support[1]))))
+        if self.support is not None:
+            supports.append(("declared", tuple(check_real(x, "support") for x in self.support)))
         for what, (lo, hi) in supports:
             if not (lo < hi and math.isfinite(hi - lo)):
                 raise ValidationError(
@@ -209,14 +242,11 @@ class DensitySpec:
     def _natural_support(family: DensityFamily, params: dict[str, float]) -> tuple[float, float]:
         eps = TRUNCATION_EPS
         if family is DensityFamily.UNIFORM:
-            _require_keys(params, ("a", "b"))
             return params["a"], params["b"]
         if family is DensityFamily.GAUSSIAN:
-            _require_keys(params, ("mu", "sigma"))
             mu, sigma = params["mu"], check_positive(params["sigma"], "sigma")
             half = -NormalDist().inv_cdf(eps / 2.0) * sigma
             return mu - half, mu + half
-        _require_keys(params, ("rate",))
         return 0.0, -math.log(eps / 2.0) / check_positive(params["rate"], "rate")
 
     # -- pointwise evaluation --------------------------------------------
@@ -310,11 +340,6 @@ class DensitySpec:
         return cls(DensityFamily.EXPONENTIAL, {"rate": rate})
 
 
-def _require_keys(params: dict[str, float], keys: tuple[str, ...]) -> None:
-    if set(params) != set(keys):
-        raise ValidationError(f"expected parameters {keys}, got {tuple(params)}")
-
-
 class EntropyUnit(str, Enum):
     NATS = "nats"
     BITS = "bits"
@@ -333,16 +358,15 @@ class EntropyValue:
     unit: EntropyUnit | None = None
 
     def __post_init__(self) -> None:
-        check_positive(self.k, "k")
-        if not math.isfinite(self.value):
-            raise ValidationError(f"entropy value must be finite, got {self.value}")
+        object.__setattr__(self, "k", check_positive(self.k, "k"))
+        object.__setattr__(self, "value", check_real(self.value, "entropy value"))
         if self.k == 1.0:
             unit = EntropyUnit.NATS
         elif abs(self.k - BITS_K) <= 1e-12:
             unit = EntropyUnit.BITS
         else:
             unit = EntropyUnit.CUSTOM
-        if self.unit is not None and EntropyUnit(self.unit) is not unit:
+        if self.unit is not None and self.unit != unit:
             raise ValidationError(f"k = {self.k} gives {unit.value}, not {self.unit}")
         object.__setattr__(self, "unit", unit)
 
@@ -351,12 +375,11 @@ class EntropyValue:
 
 
 def unit_to_k(unit: str) -> float:
-    u = EntropyUnit(unit)
-    if u is EntropyUnit.NATS:
+    if unit == EntropyUnit.NATS:
         return 1.0
-    if u is EntropyUnit.BITS:
+    if unit == EntropyUnit.BITS:
         return BITS_K
-    raise ValidationError("custom unit needs an explicit k")
+    raise ValidationError(f"unit {unit!r:.40} has no preset k: pass an explicit k")
 
 
 # -- operations ---------------------------------------------------------------
@@ -610,35 +633,14 @@ def _load_json(text_or_obj):
     return text_or_obj
 
 
-def _numbers(values, name: str):
-    """`values` as it is, when it is an array of reals: JSON numbers, or
-    numpy reals from a library caller, but never a bool or a string that
-    looks like a number."""
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind not in "iuf":
-            raise ValidationError(f"{name} must be reals, got an array of {values.dtype}")
-        return values
-    if not isinstance(values, (list, tuple)):
-        raise ValidationError(f"{name} must be a JSON array of reals")
-    odd = {t for t in set(map(type, values)) - {int, float}
-           if issubclass(t, bool) or not issubclass(t, numbers.Real)}
-    if odd:
-        x = next(x for x in values if type(x) in odd)
-        raise ValidationError(f"{name} must be reals written as JSON numbers, got {x!r:.40}")
-    return values
-
-
-def probs_from_json(text_or_obj) -> list:
-    """The raw probability list of {"probs": [...]} or a bare JSON array,
+def probs_from_json(text_or_obj):
+    """The raw probability vector of {"probs": [...]} or a bare JSON array,
     unvalidated, so the caller decides between checking and rescaling."""
     obj = _load_json(text_or_obj)
     if isinstance(obj, dict):
-        if "probs" not in obj:
-            raise ValidationError('distribution object must carry a "probs" key')
-        obj = obj["probs"]
-    if not isinstance(obj, list):
-        raise ValidationError("distribution JSON must be an array or {probs: [...]}")
-    return _numbers(obj, "probs")
+        check_keys(obj, ("probs",), "distribution")
+        return obj["probs"]
+    return obj
 
 
 def discrete_from_json(
@@ -651,14 +653,9 @@ def discrete_from_json(
 def binned_from_json(text_or_obj, tolerance: float = DEFAULT_TOLERANCE) -> BinnedVariable:
     """Accepts {"values": [...], "probs": [...], "widths": [...]}."""
     obj = _load_json(text_or_obj)
-    if not isinstance(obj, dict):
-        raise ValidationError("binned variable JSON must be an object")
-    missing = {"values", "probs", "widths"} - set(obj)
-    if missing:
-        raise ValidationError(f"binned variable JSON missing keys {sorted(missing)}")
-    values, probs, widths = (_numbers(obj[key], key) for key in ("values", "probs", "widths"))
-    dist = validate_distribution(probs, tolerance=tolerance)
-    return BinnedVariable(values=values, dist=dist, widths=widths)
+    check_keys(obj, ("values", "probs", "widths"), "binned variable")
+    dist = validate_distribution(obj["probs"], tolerance=tolerance)
+    return BinnedVariable(values=obj["values"], dist=dist, widths=obj["widths"])
 
 
 def density_from_json(text_or_obj) -> DensitySpec:
@@ -667,7 +664,5 @@ def density_from_json(text_or_obj) -> DensitySpec:
     obj = _load_json(text_or_obj)
     if not isinstance(obj, dict) or "family" not in obj:
         raise ValidationError('density JSON must be an object with a "family" key')
-    obj = dict(obj)
-    family = obj.pop("family")
-    _numbers(list(obj.values()), "density parameters")
-    return DensitySpec(family, obj)
+    params = dict(obj)
+    return DensitySpec(params.pop("family"), params)

@@ -26,6 +26,7 @@ from .distributions import (
     check_count,
     check_positive,
     check_probability_rows,
+    check_real,
     offsets_of,
     product_distribution,
     product_tolerance,
@@ -47,10 +48,11 @@ def entropy_terms(flat: np.ndarray, log_h=0.0) -> np.ndarray:
 
 def entropy_rows(flat: np.ndarray, offsets: np.ndarray, k: float = 1.0, log_h=0.0) -> list[float]:
     """k * fsum(entropy_terms) of every row of a block: the one entropy sum."""
+    k = check_positive(k, "k")
     values = [k * s for s in segment_fsums(entropy_terms(flat, log_h), offsets).tolist()]
     for v in values:
         if not math.isfinite(v):
-            EntropyValue(v, k)  # raises: k is bad or the value has overflowed
+            EntropyValue(v, k)  # raises: the value has overflowed
     return values
 
 
@@ -85,9 +87,9 @@ class PhiFunction:
     zero_value: float = math.nan
 
     def __post_init__(self) -> None:
-        if math.isinf(self.zero_value):
-            raise ValidationError(f"{self.name}: the value at p = 0 must be finite, got "
-                                  f"{self.zero_value}")
+        zero = self.zero_value
+        if not (isinstance(zero, float) and math.isnan(zero)):  # nan: undeclared
+            object.__setattr__(self, "zero_value", check_real(zero, f"{self.name}: phi(0)"))
 
     def __call__(self, p: float) -> float:
         if p == 0.0:

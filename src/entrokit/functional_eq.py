@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import float_vector
+from .distributions import check_real, float_vector
 from .entropy import PhiFunction, evaluate
 from .errors import DegenerateDesign, NotAdmissible, ValidationError
 
@@ -78,13 +78,11 @@ class PhiPrimeSamples:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        pts = tuple((float(p), float(v)) for p, v in self.points)
+        pts = tuple((check_real(p, "abscissa"), check_real(v, f"g({p})")) for p, v in self.points)
         object.__setattr__(self, "points", pts)
-        for p, v in pts:
+        for p, _ in pts:
             if not (0.0 < p <= 1.0):
                 raise ValidationError(f"abscissa {p} outside (0, 1]")
-            if not math.isfinite(v):
-                raise ValidationError(f"non-finite sample value at p = {p}")
         if len({p for p, _ in pts}) < 3:
             raise ValidationError("need at least 3 distinct abscissae")
 
@@ -93,7 +91,7 @@ class PhiPrimeSamples:
         cls, g: Callable[[float], float], grid: Sequence[float] = DEFAULT_GRID
     ) -> "PhiPrimeSamples":
         ps = _checked_grid(grid, "grid")
-        return cls(tuple((float(p), evaluate(g, p, "function")) for p in ps))
+        return cls(tuple((p, evaluate(g, p, "function")) for p in ps))
 
 
 @dataclass(frozen=True)
@@ -106,10 +104,10 @@ class LogAffineFit:
     residual: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.A) and math.isfinite(self.B)):
-            raise ValidationError(f"A and B must be finite, got A = {self.A}, B = {self.B}")
-        if not 0.0 <= self.residual < math.inf:
-            raise ValidationError(f"residual must be finite and nonnegative, got {self.residual}")
+        for name in ("A", "B", "residual"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
+        if self.residual < 0.0:
+            raise ValidationError(f"residual must be nonnegative, got {self.residual}")
 
     @property
     def admissible(self) -> bool:
@@ -139,8 +137,12 @@ def fit_log_affine(samples: PhiPrimeSamples) -> LogAffineFit:
         raise DegenerateDesign("all abscissae equal; slope is unidentifiable")
     design = np.column_stack([logs, np.ones_like(logs)])
     (a, b), *_ = np.linalg.lstsq(design, g, rcond=None)
-    residual = float(np.max(np.abs(g - (a * logs + b))))
-    return LogAffineFit(A=float(a), B=float(b), residual=residual)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        residual = float(np.max(np.abs(g - (a * logs + b))))
+    if not math.isfinite(residual):
+        raise ValidationError(f"the fit leaves the float range: A = {a}, B = {b}, "
+                              f"residual {residual}")
+    return LogAffineFit(A=a, B=b, residual=residual)
 
 
 def reconstruct_phi(fit: LogAffineFit, boundary_log_width: float) -> PhiFunction:
@@ -157,9 +159,7 @@ def reconstruct_phi(fit: LogAffineFit, boundary_log_width: float) -> PhiFunction
     """
     if not fit.admissible:
         raise NotAdmissible(f"slope A = {fit.A} is not strictly negative")
-    if not math.isfinite(boundary_log_width):
-        raise ValidationError("boundary_log_width must be finite")
-    a, b, blw = fit.A, fit.B, float(boundary_log_width)
+    a, b, blw = fit.A, fit.B, check_real(boundary_log_width, "boundary_log_width")
 
     def phi(p: float) -> float:
         return a * p * math.log(p) + (b - a) * p + (a - b) + blw * p

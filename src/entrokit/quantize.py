@@ -32,6 +32,7 @@ from .distributions import (
     DiscreteDistribution,
     EntropyValue,
     check_positive,
+    check_real,
     normalized_rows,
     row_fsum,
 )
@@ -56,12 +57,16 @@ class QuantizationResult:
         widths = self.binned.widths
         if np.any(widths != self.h):
             raise ValidationError("all bin widths must equal h")
-        row = np.append(self.binned.probs, self.mass_deficit)
+        deficit = self.mass_deficit
+        if not isinstance(deficit, float):  # the row check names a non-finite float by its sum
+            deficit = check_real(deficit, "mass_deficit")
+        row = np.append(self.binned.probs, deficit)
         if not normalized_rows(row, np.array([0, row.size]), QUANTIZED_TOL)[0]:
             total = row_fsum(row)
             raise ValidationError(
                 f"bin masses plus deficit sum to {total}, off by {total - 1.0:+.3e}"
             )
+        object.__setattr__(self, "mass_deficit", float(deficit))
 
     def to_json_obj(self) -> dict:
         return {
@@ -112,22 +117,23 @@ def quantize_density(f: DensitySpec, h: float) -> QuantizationResult:
     its own small side by bin_masses, so the conservation invariant
     (masses + deficit = 1) checks the bin masses rather than restating them.
     """
-    check_positive(h, "h", NonPositiveWidth)
+    h = check_positive(h, "h", NonPositiveWidth)
     lo, hi = f.support
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UnboundedSupport(f"support {f.support} is not finite")
     x0, n = _grid(f, h)
-    edges = x0 + h * np.arange(n + 1)
+    with np.errstate(over="ignore"):  # +inf past the float range, as bin_masses reads it
+        edges = x0 + h * np.arange(n + 1)
+        mids = x0 + h * (np.arange(n) + 0.5)
     probs = np.maximum(f.bin_masses(edges), 0.0)
-    mids = x0 + h * (np.arange(n) + 0.5)
     tails = f.bin_masses(np.array([-math.inf, edges[0], edges[-1], math.inf]))
     deficit = max(0.0, float(tails[0] + tails[2]))
     binned = BinnedVariable(
         values=mids,
         dist=DiscreteDistribution(probs, tolerance=QUANTIZED_TOL),
-        widths=np.full(n, float(h)),
+        widths=np.full(n, h),
     )
-    return QuantizationResult(binned=binned, h=float(h), mass_deficit=deficit)
+    return QuantizationResult(binned=binned, h=h, mass_deficit=deficit)
 
 
 def differential_entropy(f: DensitySpec, k: float = 1.0) -> EntropyValue:
@@ -137,6 +143,7 @@ def differential_entropy(f: DensitySpec, k: float = 1.0) -> EntropyValue:
     convention.  Can be negative (densities above 1 contribute negative
     uncertainty); nothing here enforces a sign.
     """
+    k = check_positive(k, "k")
     value, _ = f.entropy_integral()
     return EntropyValue(k * value, k)
 
@@ -155,7 +162,7 @@ def convergence_sweep(
     entropy, in the given order.  The limit h -> 0 closes the gap; the rate
     is not asserted here, only measured."""
     check_positive(k, "k")
-    hs = [check_positive(float(h), "h", NonPositiveWidth) for h in h_values]
+    hs = [check_positive(h, "h", NonPositiveWidth) for h in h_values]
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValidationError("h values must be strictly decreasing")
     if hs:

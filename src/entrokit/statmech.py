@@ -36,6 +36,7 @@ from .distributions import (
     EntropyValue,
     check_count,
     check_positive,
+    check_real,
     float_vector,
     fsum_decides,
     probability_rows_ok,
@@ -63,6 +64,7 @@ def modified_differential_entropy(f: DensitySpec, h: float, k: float = 1.0) -> E
     In closed form, H - M ln h, where H is the plain differential entropy
     and M the mass of the truncated support."""
     check_positive(h, "h", NonPositiveWidth)
+    k = check_positive(k, "k")
     value, mass = f.entropy_integral()
     return EntropyValue(k * (value - mass * math.log(h)), k)
 
@@ -123,6 +125,7 @@ def log_phase_shell_volume(spec: ShellSpec) -> float:
 
 def boltzmann_entropy(spec: ShellSpec, k: float = 1.0) -> EntropyValue:
     """S = k ln(Omega / C^N), with ln N! via lnGamma(N + 1)."""
+    k = check_positive(k, "k")
     s = log_phase_shell_volume(spec) - 3.0 * spec.N * math.log(spec.planck_h)
     if spec.indistinguishable:
         s -= math.lgamma(spec.N + 1.0)
@@ -137,6 +140,7 @@ def sackur_tetrode_entropy(spec: ShellSpec, k: float = 1.0) -> EntropyValue:
     i.e. the Stirling-approximated large-N limit of boltzmann_entropy.
     Serves as the independent cross-check the CLI reports alongside the
     shell-volume path."""
+    k = check_positive(k, "k")
     n = spec.N
     # the bracket overflows (E = 1e300, h = 1e-10) or underflows (V = 1e-300,
     # h = 1e10) where its log is unremarkable, so it is formed as a mantissa
@@ -341,8 +345,7 @@ def compare_entropy_forms(
     check_positive(k, "k")
     check_positive(planck_h, "planck_h")
     check_count(N, "N", 1, MAX_PARTICLES)
-    if not math.isfinite(ln_omega):
-        raise ValidationError(f"ln_omega must be finite, got {ln_omega}")
+    ln_omega = check_real(ln_omega, "ln_omega")
     log_cell = 3.0 * N * math.log(planck_h)
     s_in_log = EntropyValue(k * (ln_omega - log_cell), k).value
 

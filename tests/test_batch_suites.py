@@ -159,13 +159,20 @@ def _new_lows(values):
     return lows
 
 
-# all 80 trials in one block; 3 trials a block; 1 trial a block
-@pytest.mark.parametrize("m", [64, BLOCK_ELEMENTS // 4 + 1, BLOCK_ELEMENTS])
+# all 80 trials in one block; 3 trials a block; 1 trial a block, at both ends
+# of the one-trial range
+@pytest.mark.parametrize(
+    "m", [64, BLOCK_ELEMENTS // 4 + 1, BLOCK_ELEMENTS // 2 + 1, BLOCK_ELEMENTS]
+)
 def test_maxent_decisions_match_the_per_trial_loop(m, monkeypatch):
     """Make chosen trials exceed the threshold (a negative slack) or fail the
     normalization check (a tolerance below their error), at positions inside
     a block, and check that the batched check returns or raises as the
-    per-trial loop does, whichever of the two comes first."""
+    per-trial loop does, whichever of the two comes first.
+
+    The tolerance just below the first nonzero error, at the default slack,
+    makes that trial fail whatever the draws put before it, so the invalid
+    outcome does not need a failing trial ahead of an exceeding one."""
     d, C, trials, seed = _cells(m), 1.0, 80, 3
     w = d.cell_volumes
     s_uniform = shell_entropy(DiscretizedShellDensity.uniform(w), C)
@@ -177,11 +184,15 @@ def test_maxent_decisions_match_the_per_trial_loop(m, monkeypatch):
     # the threshold, a tolerance of -cut the first to fail normalization
     first_exceeding = _new_lows(deficit)
     first_invalid = _new_lows([-e for e in error])
-    assert first_exceeding and first_invalid
+    first_nonzero = next(e for e in error if e > 0.0)
+    assert first_exceeding
+    slacks = [statmech.MAXENT_SLACK] + [-cut for _, cut in first_exceeding]
+    tolerances = [statmech.SHELL_TOLERANCE] + [-c for _, c in first_invalid]
+    tolerances.append(math.nextafter(first_nonzero, 0.0))
     outcomes = set()
-    for _, cut in first_exceeding:
-        for tolerance in [statmech.SHELL_TOLERANCE] + [-c for _, c in first_invalid]:
-            monkeypatch.setattr(statmech, "MAXENT_SLACK", -cut)
+    for slack in slacks:
+        for tolerance in tolerances:
+            monkeypatch.setattr(statmech, "MAXENT_SLACK", slack)
             monkeypatch.setattr(statmech, "SHELL_TOLERANCE", tolerance)
             try:
                 expected = _reference_maxent(d, C, trials, seed)
@@ -190,10 +201,9 @@ def test_maxent_decisions_match_the_per_trial_loop(m, monkeypatch):
                     maxent_shell_check(d, C, trials=trials, seed=seed)
                 outcomes.add("invalid")
                 continue
-            assert expected is False
-            assert maxent_shell_check(d, C, trials=trials, seed=seed).is_maximal is False
-            outcomes.add("exceeds")
-    assert outcomes == {"invalid", "exceeds"}
+            assert maxent_shell_check(d, C, trials=trials, seed=seed).is_maximal is expected
+            outcomes.add("maximal" if expected else "exceeds")
+    assert outcomes == {"invalid", "exceeds", "maximal"}
 
 
 def test_maxent_report_does_not_depend_on_the_block_size(monkeypatch):

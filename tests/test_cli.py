@@ -592,19 +592,20 @@ class TestArgvFuzz:
     del _argv
 
     # JSON shapes beyond flat arrays, for each JSON flag, with their exit
-    # codes.  discrete and total ignore an unknown key; density refuses one.
+    # codes.  Every wire object holds exactly its keys, so an unknown key is
+    # refused alike by each flag.
     SHAPES = {
         "probs-nested": (["discrete", "--probs", "[[0.5],[0.5]]"], 65),
         "probs-nested-in-object": (["discrete", "--probs", '{"probs":[[0.5,0.5]]}'], 65),
         "probs-empty": (["discrete", "--probs", "[]"], 65),
         "probs-empty-in-object": (["discrete", "--probs", '{"probs":[]}'], 65),
-        "probs-extra-key": (["discrete", "--probs", '{"probs":[0.5,0.5],"x":1}'], 0),
+        "probs-extra-key": (["discrete", "--probs", '{"probs":[0.5,0.5],"x":1}'], 65),
         "data-nested": (["total", "--data", "[[0.5,0.5]]"], 65),
         "data-nested-values": (
             ["total", "--data", '{"values":[[0,1]],"probs":[0.5,0.5],"widths":[1,2]}'], 65),
         "data-empty": (["total", "--data", '{"values":[],"probs":[],"widths":[]}'], 65),
         "data-extra-key": (
-            ["total", "--data", '{"values":[0,1],"probs":[0.5,0.5],"widths":[1,2],"x":1}'], 0),
+            ["total", "--data", '{"values":[0,1],"probs":[0.5,0.5],"widths":[1,2],"x":1}'], 65),
         "density-nested": (["differential", "--density", "[[1]]"], 65),
         "density-nested-parameter": (
             ["differential", "--density", '{"family":"gaussian","mu":[0],"sigma":1}'], 65),

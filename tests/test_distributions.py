@@ -163,6 +163,14 @@ class TestBinnedVariable:
                 widths=[1.0, 1.0],
             )
 
+    def test_values_spanning_the_float_range_are_compared_not_subtracted(self):
+        # 1e308 - (-1e308) overflows; neighbours are compared instead
+        dist = validate_distribution([0.5, 0.5])
+        v = BinnedVariable(values=[-1e308, 1e308], dist=dist, widths=[1.0, 1.0])
+        assert v.values.tolist() == [-1e308, 1e308]
+        with pytest.raises(ValidationError, match="increasing"):
+            BinnedVariable(values=[1e308, -1e308], dist=dist, widths=[1.0, 1.0])
+
 
 class TestDensitySpec:
     def test_uniform_support_is_natural(self):

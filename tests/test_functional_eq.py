@@ -149,6 +149,13 @@ def test_non_finite_fits_are_refused(make):
         make()
 
 
+def test_a_fit_beyond_the_float_range_is_refused_without_a_warning():
+    # A ln p overflows at p = 0.1; the warning filters make a numpy warning fail
+    samples = PhiPrimeSamples(((0.1, 1e308), (0.2, 1.0), (0.3, 2.0)))
+    with pytest.raises(ValidationError, match="leaves the float range"):
+        fit_log_affine(samples)
+
+
 class TestReconstructPhi:
     def test_boundary_at_unit_width(self):
         phi = reconstruct_phi(LogAffineFit(A=-1.0, B=0.0, residual=0.0), 0.0)

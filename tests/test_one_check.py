@@ -22,13 +22,21 @@ from entrokit import (
     InvalidDensity,
     NegativeProbability,
     NotNormalized,
+    LogAffineFit,
+    PhiFunction,
+    PhiPrimeSamples,
     QuantizationResult,
     ShellSpec,
     ValidationError,
     boltzmann_entropy,
+    compare_entropy_forms,
     differential_entropy,
+    discrete_from_json,
+    maxent_shell_check,
     modified_differential_entropy,
     quantize_density,
+    reconstruct_phi,
+    renormalize,
     sackur_tetrode_entropy,
     shannon_entropy,
     shell_entropy,
@@ -41,6 +49,7 @@ from entrokit.distributions import (
     density_from_json,
     probs_from_json,
     check_probability_rows,
+    unit_to_k,
     normalized_rows,
     ragged,
 )
@@ -248,3 +257,74 @@ def test_bools_strings_and_non_reals_are_refused(probs):
     with pytest.raises(ValidationError, match="must be reals"):
         binned_from_json({"values": [0, 1], "probs": probs, "widths": [1, 1]})
 
+
+# -- one validator per kind of outside value -----------------------------------------
+
+HALVES = quantize_density(DensitySpec.uniform(0.0, 1.0), 0.5).binned
+REFUSED = {
+    # vectors: float_vector
+    "probs-numeric-strings": lambda: DiscreteDistribution(["0.5", "0.5"]),
+    "probs-bool": lambda: DiscreteDistribution([True]),
+    "probs-letter": lambda: DiscreteDistribution(["a"]),
+    "probs-ragged": lambda: DiscreteDistribution([[0.5], [0.5, 0.5]]),
+    "probs-dict": lambda: DiscreteDistribution({"a": 1}),
+    "cells-ragged": lambda: DiscretizedShellDensity.uniform([[1], [1, 2]]),
+    "renormalize-letter": lambda: renormalize(["x"]),
+    # scalars: check_real and check_positive
+    "density-bool-and-string": lambda: DensitySpec("gaussian", {"mu": True, "sigma": "1"}),
+    "density-support-string": lambda: DensitySpec("uniform", {"a": 0, "b": 1}, ("0", 1)),
+    "shannon-k-bool": lambda: shannon_entropy(COIN, k=True),
+    "shannon-k-string": lambda: shannon_entropy(COIN, k="2"),
+    "quantize-h-string": lambda: quantize_density(GAUSSIAN, "0.5"),
+    "shell-E-string": lambda: ShellSpec(E="1", dE=0.01, V=1.0, N=1),
+    "entropy-value-string": lambda: EntropyValue("1", 1.0),
+    "log-affine-fit-string": lambda: LogAffineFit(A="x", B=0.0, residual=0.0),
+    "phi-zero-value-string": lambda: PhiFunction(lambda p: p, "x", "0"),
+    "deficit-string": lambda: QuantizationResult(HALVES, 0.5, "0"),
+    "samples-string": lambda: PhiPrimeSamples((("0.1", 1.0), (0.2, 1.0), (0.3, 1.0))),
+    "boundary-log-width-string": lambda: reconstruct_phi(LogAffineFit(-1.0, 0.0, 0.0), "0"),
+    "ln-omega-string": lambda: compare_entropy_forms("1", 1.0, 1),
+    "trials-bool": lambda: maxent_shell_check(DiscretizedShellDensity.uniform([1.0]), 1.0,
+                                               trials=True),
+    # k and the unit, checked before they are used
+    "differential-k-string": lambda: differential_entropy(GAUSSIAN, "2"),
+    "modified-k-string": lambda: modified_differential_entropy(GAUSSIAN, 0.5, "2"),
+    "sackur-tetrode-k-string": lambda: sackur_tetrode_entropy(GAS, "1"),
+    "boltzmann-k-bool": lambda: boltzmann_entropy(GAS, True),
+    "unit-unknown": lambda: unit_to_k("foo"),
+    "entropy-value-unit-unknown": lambda: EntropyValue(1.0, 1.0, "foo"),
+    # wire objects: check_keys
+    "probs-extra-key": lambda: discrete_from_json({"probs": [0.5, 0.5], "x": 1}),
+    "binned-extra-key": lambda: binned_from_json(
+        {"values": [0, 1], "probs": [0.5, 0.5], "widths": [1, 2], "x": 1}),
+    "density-params-not-a-dict": lambda: DensitySpec("exponential", [("rate", 1.0)]),
+}
+
+
+@pytest.mark.parametrize("make", REFUSED.values(), ids=REFUSED.keys())
+def test_junk_from_a_caller_is_a_validation_error(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
+ACCEPTED = {
+    "tuple": (0.5, 0.5),
+    "float32-array": np.array([0.5, 0.5], dtype=np.float32),
+    "list-of-numpy-floats": [np.float64(0.5), np.float32(0.5)],
+}
+
+
+@pytest.mark.parametrize("probs", ACCEPTED.values(), ids=ACCEPTED.keys())
+def test_reals_in_a_tuple_or_of_numpy_types_are_accepted(probs):
+    d = DiscreteDistribution(probs)
+    assert d.probs.dtype == np.float64 and d.probs.tolist() == [0.5, 0.5]
+    assert d.probs is not probs
+
+
+def test_checked_scalars_come_back_as_python_floats():
+    value = shannon_entropy(COIN, np.float32(2.0))
+    assert type(value.k) is float and type(value.value) is float
+    fit = LogAffineFit(np.float32(-1.0), np.int64(0), np.float64(0.0))
+    assert {type(x) for x in (fit.A, fit.B, fit.residual)} == {float}
+    assert type(PhiFunction(lambda p: p, "x", np.float32(0.0)).zero_value) is float
+    assert math.isnan(PhiFunction(lambda p: p, "x").zero_value)  # nan: undeclared

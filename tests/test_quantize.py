@@ -17,7 +17,7 @@ from entrokit import (
     total_entropy_from_density,
 )
 
-from entrokit import quantize
+from entrokit import density_from_json, quantize
 
 from conftest import oracle_entropy_integral
 
@@ -317,3 +317,23 @@ class TestConvergenceSweep:
             convergence_sweep(f, [0.1, 0.5])
         with pytest.raises(NonPositiveWidth):
             convergence_sweep(f, [0.5, 0.0])
+
+
+def test_a_last_edge_beyond_the_float_range_reads_as_its_limit():
+    """h * n overflows at the last edge; bin_masses clips that +inf edge to
+    b, so the bins are right, and the warning filters make a numpy warning
+    fail."""
+    f = density_from_json('{"family":"uniform","a":-1e308,"b":1e300}')
+    assert quantize_density(f, 1e308).to_json_obj() == {
+        "h": 1e308,
+        "mass_deficit": 0.0,
+        "binned": {
+            "values": [-5e307, 5e307],
+            "probs": [0.9999999900000001, 9.999999900000002e-09],
+            "widths": [1e308, 1e308],
+        },
+    }
+    rows = convergence_sweep(f, [1e308, 5e307])
+    assert [(r.h, r.total_entropy) for r in rows] == [
+        (1e308, 709.1962088363729), (5e307, 709.1962088294413)
+    ]
