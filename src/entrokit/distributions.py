@@ -94,6 +94,16 @@ def check_keys(obj, keys: tuple[str, ...], what: str) -> None:
         raise ValidationError(f"{what} must hold exactly the keys {keys}, got {got!r:.80}")
 
 
+def check_sequence(x, name: str, length: int | None = None):
+    """The one check of a container whose entries are checked one by one: a
+    list, tuple or array, holding `length` entries when that is given."""
+    if isinstance(x, (list, tuple)) or (isinstance(x, np.ndarray) and x.ndim > 0):
+        if length is None or len(x) == length:
+            return x
+    size = "" if length is None else f" of {length} entries"
+    raise ValidationError(f"{name} must be a list, tuple or array{size}, got {x!r:.60}")
+
+
 def float_vector(x, name: str) -> np.ndarray:
     """The one check for every stored vector: a list, tuple or numpy array
     of check_real's types, non-empty, 1-D and finite, as a fresh array."""
@@ -224,7 +234,8 @@ class DensitySpec:
         # a mean so large that the truncated support collapses is refused there
         supports = [("implied", self._natural_support(family, params))]
         if self.support is not None:
-            supports.append(("declared", tuple(check_real(x, "support") for x in self.support)))
+            declared = check_sequence(self.support, "support", 2)
+            supports.append(("declared", tuple(check_real(x, "support") for x in declared)))
         for what, (lo, hi) in supports:
             if not (lo < hi and math.isfinite(hi - lo)):
                 raise ValidationError(
@@ -369,6 +380,13 @@ class EntropyValue:
         if self.unit is not None and self.unit != unit:
             raise ValidationError(f"k = {self.k} gives {unit.value}, not {self.unit}")
         object.__setattr__(self, "unit", unit)
+
+    @classmethod
+    def of(cls, nats: float, k: float) -> "EntropyValue":
+        """k * S from S in nats: every kernel sums in nats and k, the unit that
+        section 2 leaves free, is applied here once.  Refuses k * S past the float range."""
+        k = check_positive(k, "k")
+        return cls(k * nats, k)
 
     def to_json_obj(self) -> dict[str, Any]:
         return {"value": self.value, "unit": self.unit.value}

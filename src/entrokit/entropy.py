@@ -24,7 +24,6 @@ from .distributions import (
     DiscreteDistribution,
     EntropyValue,
     check_count,
-    check_positive,
     check_probability_rows,
     check_real,
     offsets_of,
@@ -46,19 +45,14 @@ def entropy_terms(flat: np.ndarray, log_h=0.0) -> np.ndarray:
     return -flat * (np.log(flat, out=np.zeros_like(flat), where=flat > 0) - log_h)
 
 
-def entropy_rows(flat: np.ndarray, offsets: np.ndarray, k: float = 1.0, log_h=0.0) -> list[float]:
-    """k * fsum(entropy_terms) of every row of a block: the one entropy sum."""
-    k = check_positive(k, "k")
-    values = [k * s for s in segment_fsums(entropy_terms(flat, log_h), offsets).tolist()]
-    for v in values:
-        if not math.isfinite(v):
-            EntropyValue(v, k)  # raises: the value has overflowed
-    return values
+def entropy_rows(flat: np.ndarray, offsets: np.ndarray, log_h=0.0) -> list[float]:
+    """fsum(entropy_terms) of every row of a block, in nats: the one entropy sum."""
+    return segment_fsums(entropy_terms(flat, log_h), offsets).tolist()
 
 
 def shannon_entropy(p: DiscreteDistribution, k: float = 1.0) -> EntropyValue:
     """-k * sum(p_i ln p_i), with zero entries contributing exactly 0."""
-    return EntropyValue(entropy_rows(p.probs, np.array([0, p.n]), k)[0], k)
+    return EntropyValue.of(entropy_rows(p.probs, np.array([0, p.n]))[0], k)
 
 
 def evaluate(g: Callable[[float], float], p: float, name: str) -> float:
@@ -133,7 +127,7 @@ def phi_entropy(p: DiscreteDistribution, phi: PhiFunction) -> float:
 def total_entropy(v: BinnedVariable, k: float = 1.0) -> EntropyValue:
     """-k * sum(p_i ln(p_i / h_i)): Shannon entropy plus the expected
     post-observational uncertainty k ln h_i per interval."""
-    return EntropyValue(entropy_rows(v.probs, np.array([0, v.dist.n]), k, np.log(v.widths))[0], k)
+    return EntropyValue.of(entropy_rows(v.probs, np.array([0, v.dist.n]), np.log(v.widths))[0], k)
 
 
 def additivity_defect(
@@ -329,7 +323,6 @@ def run_axiom_suite(
     n_distributions must be even.  No row may hold more than MAX_ROW
     elements; a joint distribution holds up to max_n**2.
     """
-    check_positive(k, "k")
     check_count(seed, "seed", 0)
     check_count(n_distributions, "n_distributions", 2)
     if n_distributions % 2:
@@ -338,6 +331,10 @@ def run_axiom_suite(
     check_count(majorization_pairs, "majorization_pairs", 0)
     largest = math.isqrt(MAX_ROW) if additivity_pairs > 0 else MAX_ROW
     check_count(max_n, "max_n", 2 if majorization_pairs > 0 else 1, largest)
+    # a row of n entries holds at most ln n nats, and one nat more covers
+    # rounding: every k * H below is finite when this bound is
+    n_max = max(64, max_n**2 if additivity_pairs > 0 else max_n)  # 64: the uniform rows
+    k = EntropyValue.of(math.log(n_max) + 1.0, k).k
     rng = np.random.default_rng(seed)
 
     min_entropy = math.inf
@@ -354,7 +351,7 @@ def run_axiom_suite(
         a, b = np.split(ab, 2)
         flat = np.concatenate((ab, w * a + (1.0 - w) * b))
         check_probability_rows(flat, offsets, DEFAULT_TOLERANCE)
-        h = np.array(entropy_rows(flat, offsets, k)).reshape(3, -1)
+        h = (k * np.array(entropy_rows(flat, offsets))).reshape(3, -1)
         ha, hb, hmix = h
         min_entropy = min(min_entropy, float(h[:2].min()))
         max_bound_excess = max(max_bound_excess, float((h[:2] - k * np.log(n)).max()))
@@ -382,7 +379,7 @@ def run_axiom_suite(
         tol = np.full(3 * n.size, DEFAULT_TOLERANCE)
         tol[2 * n.size :] = product_tolerance(DEFAULT_TOLERANCE, n + m)
         check_probability_rows(flat, offsets, tol)
-        hp, hq, hjoint = np.array(entropy_rows(flat, offsets, k)).reshape(3, -1)
+        hp, hq, hjoint = (k * np.array(entropy_rows(flat, offsets))).reshape(3, -1)
         additivity_max = max(additivity_max, float(np.abs(hjoint - hp - hq).max()))
 
     # rows: every start point p, then every flattened q; 1 to 5 transfers
@@ -393,7 +390,7 @@ def run_axiom_suite(
         start = _simplex_rows(rng, offsets[: n.size + 1])
         flat = np.concatenate((start, _robin_hood(rng, start, offsets[: n.size + 1], transfers)))
         check_probability_rows(flat, offsets, DEFAULT_TOLERANCE)
-        hp, hq = np.array(entropy_rows(flat, offsets, k)).reshape(2, -1)
+        hp, hq = (k * np.array(entropy_rows(flat, offsets))).reshape(2, -1)
         p, q = np.split(_padded(flat, offsets), 2)
         p_maj_q = _majorizes(p, q)
         ordered = _entropy_ordered(p_maj_q, _majorizes(q, p), hp, hq)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import check_real, float_vector
+from .distributions import check_real, check_sequence, float_vector
 from .entropy import PhiFunction, evaluate
 from .errors import DegenerateDesign, NotAdmissible, ValidationError
 
@@ -78,7 +78,9 @@ class PhiPrimeSamples:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        pts = tuple((check_real(p, "abscissa"), check_real(v, f"g({p})")) for p, v in self.points)
+        pairs = (check_sequence(pt, "a sample (p, g)", 2)
+                 for pt in check_sequence(self.points, "points"))
+        pts = tuple((check_real(p, "abscissa"), check_real(v, f"g({p})")) for p, v in pairs)
         object.__setattr__(self, "points", pts)
         for p, _ in pts:
             if not (0.0 < p <= 1.0):

@@ -33,6 +33,7 @@ from .distributions import (
     EntropyValue,
     check_positive,
     check_real,
+    check_sequence,
     normalized_rows,
     row_fsum,
 )
@@ -88,10 +89,10 @@ class ConvergenceRow:
             raise ValidationError("abs_error must equal |total - differential|")
 
 
-def _grid(f: DensitySpec, h: float) -> tuple[float, int]:
-    """Left edge and bin count of the width-h grid covering the truncated
-    support, per the anchoring rule above.  A grid of more than MAX_ROW
-    bins is refused before any of it is computed."""
+def _grid(f: DensitySpec, h: float) -> tuple[float, float, int]:
+    """The width-h grid covering the truncated support, per the anchoring
+    rule above: its left edge x0 + s h as (x0, s), and its bin count.  A
+    grid of more than MAX_ROW bins is refused before any of it is computed."""
     lo, hi = f.support
     if (hi - lo) / h > MAX_ROW:
         raise ValidationError(f"h = {h} cuts the support into more than {MAX_ROW} bins")
@@ -101,11 +102,24 @@ def _grid(f: DensitySpec, h: float) -> tuple[float, int]:
         # edge for the families that have one
         x0 = jumps[0]
         n = int(math.ceil((hi - x0) / h - 1e-9))
-        return x0, max(n, 1)
+        return x0, 0.0, max(n, 1)
     c = 0.5 * (lo + hi)
     j_min = math.floor((lo - c) / h + 0.5)
     j_max = math.floor((hi - c) / h + 0.5)
-    return c + (j_min - 0.5) * h, j_max - j_min + 1
+    return c, j_min - 0.5, j_max - j_min + 1
+
+
+def _grid_points(x0: float, s: float, h: float, t: np.ndarray) -> np.ndarray:
+    """The points (x0 + s h) + h t of a grid, for increasing t >= 0.  Where
+    s h or h t overflows on the way to a point that is finite, the same sums
+    are formed at a quarter of the scale, which is exact, and scaled back; a
+    point beyond the float range is +-inf, as bin_masses reads it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (x0 + s * h) + h * t
+        if math.isfinite(x0 + s * h) and math.isfinite(h * t[-1]):
+            return x
+        quarter = 4.0 * ((0.25 * x0 + s * (0.25 * h)) + (0.25 * h) * t)
+    return np.where(np.isfinite(x), x, quarter)
 
 
 def quantize_density(f: DensitySpec, h: float) -> QuantizationResult:
@@ -121,10 +135,9 @@ def quantize_density(f: DensitySpec, h: float) -> QuantizationResult:
     lo, hi = f.support
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UnboundedSupport(f"support {f.support} is not finite")
-    x0, n = _grid(f, h)
-    with np.errstate(over="ignore"):  # +inf past the float range, as bin_masses reads it
-        edges = x0 + h * np.arange(n + 1)
-        mids = x0 + h * (np.arange(n) + 0.5)
+    x0, s, n = _grid(f, h)
+    edges = _grid_points(x0, s, h, np.arange(n + 1))
+    mids = _grid_points(x0, s, h, np.arange(n) + 0.5)
     probs = np.maximum(f.bin_masses(edges), 0.0)
     tails = f.bin_masses(np.array([-math.inf, edges[0], edges[-1], math.inf]))
     deficit = max(0.0, float(tails[0] + tails[2]))
@@ -143,15 +156,12 @@ def differential_entropy(f: DensitySpec, k: float = 1.0) -> EntropyValue:
     convention.  Can be negative (densities above 1 contribute negative
     uncertainty); nothing here enforces a sign.
     """
-    k = check_positive(k, "k")
-    value, _ = f.entropy_integral()
-    return EntropyValue(k * value, k)
+    return EntropyValue.of(f.entropy_integral()[0], k)
 
 
 def total_entropy_from_density(f: DensitySpec, h: float, k: float = 1.0) -> EntropyValue:
     """Quantize at width h, then apply the total-entropy formula with the
     uniform widths: -k * sum(p_i ln(p_i / h))."""
-    check_positive(k, "k")
     return total_entropy(quantize_density(f, h).binned, k)
 
 
@@ -161,8 +171,7 @@ def convergence_sweep(
     """One row per width: total entropy at h against the differential
     entropy, in the given order.  The limit h -> 0 closes the gap; the rate
     is not asserted here, only measured."""
-    check_positive(k, "k")
-    hs = [check_positive(h, "h", NonPositiveWidth) for h in h_values]
+    hs = [check_positive(h, "h", NonPositiveWidth) for h in check_sequence(h_values, "h_values")]
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValidationError("h values must be strictly decreasing")
     if hs:

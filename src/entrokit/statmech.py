@@ -64,9 +64,8 @@ def modified_differential_entropy(f: DensitySpec, h: float, k: float = 1.0) -> E
     In closed form, H - M ln h, where H is the plain differential entropy
     and M the mass of the truncated support."""
     check_positive(h, "h", NonPositiveWidth)
-    k = check_positive(k, "k")
     value, mass = f.entropy_integral()
-    return EntropyValue(k * (value - mass * math.log(h)), k)
+    return EntropyValue.of(value - mass * math.log(h), k)
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ class ShellSpec:
         object.__setattr__(self, "N", check_count(self.N, "N", 1, MAX_PARTICLES))
         if self.dE / self.E > 0.1:
             warnings.warn(
-                f"shell thickness dE/E = {self.dE / self.E:.3f} is not small; "
+                f"shell thickness dE/E = {self.dE / self.E:.3g} is not small; "
                 "shell-volume results lose their thin-shell meaning",
                 RuntimeWarning,
                 stacklevel=2,
@@ -125,11 +124,10 @@ def log_phase_shell_volume(spec: ShellSpec) -> float:
 
 def boltzmann_entropy(spec: ShellSpec, k: float = 1.0) -> EntropyValue:
     """S = k ln(Omega / C^N), with ln N! via lnGamma(N + 1)."""
-    k = check_positive(k, "k")
     s = log_phase_shell_volume(spec) - 3.0 * spec.N * math.log(spec.planck_h)
     if spec.indistinguishable:
         s -= math.lgamma(spec.N + 1.0)
-    return EntropyValue(k * s, k)
+    return EntropyValue.of(s, k)
 
 
 def sackur_tetrode_entropy(spec: ShellSpec, k: float = 1.0) -> EntropyValue:
@@ -140,7 +138,6 @@ def sackur_tetrode_entropy(spec: ShellSpec, k: float = 1.0) -> EntropyValue:
     i.e. the Stirling-approximated large-N limit of boltzmann_entropy.
     Serves as the independent cross-check the CLI reports alongside the
     shell-volume path."""
-    k = check_positive(k, "k")
     n = spec.N
     # the bracket overflows (E = 1e300, h = 1e-10) or underflows (V = 1e-300,
     # h = 1e10) where its log is unremarkable, so it is formed as a mantissa
@@ -154,7 +151,7 @@ def sackur_tetrode_entropy(spec: ShellSpec, k: float = 1.0) -> EntropyValue:
     half, odd = divmod(ex, 2)  # (2^ex)^(3/2) = 2^(ex + half) sqrt(2)^odd
     mantissa = fv / fn * r**1.5 * (SQRT2 if odd else 1.0)
     ln_bracket = math.log(mantissa) + (ev - en + ex + half) * LN2
-    return EntropyValue(k * n * (ln_bracket + 2.5), k)
+    return EntropyValue.of(n * (ln_bracket + 2.5), k)
 
 
 # -- maximum-entropy check on the discretized shell ----------------------------
@@ -230,13 +227,13 @@ def _log_widths(w: np.ndarray, C: float) -> np.ndarray:
     return np.log(mw / mc) + (ew - ec) * LN2
 
 
-def shell_entropy(d: DiscretizedShellDensity, C: float, k: float = 1.0) -> float:
+def shell_entropy(d: DiscretizedShellDensity, C: float, k: float = 1.0) -> EntropyValue:
     """Discretized S = -k sum(w_i f_i ln(C f_i)); empty cells contribute 0.
     It is the total entropy of the cell masses w_i f_i at widths w_i / C."""
     check_positive(C, "C")
     w = d.cell_volumes
-    s = entropy_rows(_cell_masses(w, d.densities), np.array([0, w.size]), k, _log_widths(w, C))
-    return EntropyValue(s[0], k).value
+    s = entropy_rows(_cell_masses(w, d.densities), np.array([0, w.size]), _log_widths(w, C))
+    return EntropyValue.of(s[0], k)
 
 
 @dataclass(frozen=True)
@@ -266,8 +263,9 @@ def maxent_shell_check(
     check_count(trials, "trials", 1)
     check_count(seed, "seed", 0)
     entropy = shell_entropy(d, C, k)
+    k = entropy.k
     uniform = DiscretizedShellDensity.uniform(d.cell_volumes)
-    threshold = shell_entropy(uniform, C, k) + MAXENT_SLACK
+    threshold = shell_entropy(uniform, C, k).value + MAXENT_SLACK
     rng = np.random.default_rng(seed)
     w = d.cell_volumes
     m = w.size
@@ -293,10 +291,10 @@ def maxent_shell_check(
         valid = rows if ok.all() else int(np.argmin(ok))
         terms = entropy_terms(masses[:valid], log_h).ravel()
         if fsum_decides(terms, offsets[: valid + 1], lambda s: k * s > threshold).any():
-            return MaxentReport(entropy=entropy, is_maximal=False)
+            return MaxentReport(entropy=entropy.value, is_maximal=False)
         if valid < rows:
             _raise_shell_row_error(masses[valid])
-    return MaxentReport(entropy=entropy, is_maximal=True)
+    return MaxentReport(entropy=entropy.value, is_maximal=True)
 
 
 # -- two classical-entropy readings compared -----------------------------------
@@ -342,12 +340,12 @@ def compare_entropy_forms(
     ln_omega: float, planck_h: float, N: int, k: float = 1.0
 ) -> EntropyFormComparison:
     """Evaluate both expressions from a known log shell volume."""
-    check_positive(k, "k")
     check_positive(planck_h, "planck_h")
     check_count(N, "N", 1, MAX_PARTICLES)
     ln_omega = check_real(ln_omega, "ln_omega")
     log_cell = 3.0 * N * math.log(planck_h)
-    s_in_log = EntropyValue(k * (ln_omega - log_cell), k).value
+    in_log = EntropyValue.of(ln_omega - log_cell, k)
+    s_in_log, k = in_log.value, in_log.k
 
     sign = int(math.copysign(1.0, ln_omega)) if ln_omega != 0.0 else 0
     scaled = k * abs(ln_omega)

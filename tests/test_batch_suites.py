@@ -140,10 +140,10 @@ def _trials(d, trials, seed):
 def _reference_maxent(d, C, trials, seed):
     """The per-trial loop the batched check replaced: build each trial as a
     carrier, then compare its entropy with the uniform one plus the slack."""
-    threshold = shell_entropy(DiscretizedShellDensity.uniform(d.cell_volumes), C)
+    threshold = shell_entropy(DiscretizedShellDensity.uniform(d.cell_volumes), C).value
     threshold += statmech.MAXENT_SLACK
     for mixed in _trials(d, trials, seed):
-        if shell_entropy(DiscretizedShellDensity(d.cell_volumes, mixed), C) > threshold:
+        if shell_entropy(DiscretizedShellDensity(d.cell_volumes, mixed), C).value > threshold:
             return False
     return True
 
@@ -175,10 +175,10 @@ def test_maxent_decisions_match_the_per_trial_loop(m, monkeypatch):
     outcome does not need a failing trial ahead of an exceeding one."""
     d, C, trials, seed = _cells(m), 1.0, 80, 3
     w = d.cell_volumes
-    s_uniform = shell_entropy(DiscretizedShellDensity.uniform(w), C)
+    s_uniform = shell_entropy(DiscretizedShellDensity.uniform(w), C).value
     deficit, error = [], []
     for mixed in _trials(d, trials, seed):
-        deficit.append(s_uniform - shell_entropy(DiscretizedShellDensity(w, mixed), C))
+        deficit.append(s_uniform - shell_entropy(DiscretizedShellDensity(w, mixed), C).value)
         error.append(abs(math.fsum((w * mixed).tolist()) - 1.0))
     # each cut picks one trial: a slack of -cut makes it the first to exceed
     # the threshold, a tolerance of -cut the first to fail normalization
@@ -212,8 +212,8 @@ def test_maxent_report_does_not_depend_on_the_block_size(monkeypatch):
     report, and a planted negative slack stops the check at the same trial."""
     d, C, trials, seed = _cells(64), 1.0, 80, 3
     w = d.cell_volumes
-    s_uniform = shell_entropy(DiscretizedShellDensity.uniform(w), C)
-    deficit = [s_uniform - shell_entropy(DiscretizedShellDensity(w, mixed), C)
+    s_uniform = shell_entropy(DiscretizedShellDensity.uniform(w), C).value
+    deficit = [s_uniform - shell_entropy(DiscretizedShellDensity(w, mixed), C).value
                for mixed in _trials(d, trials, seed)]
     first_exceeding = _new_lows(deficit)
     assert first_exceeding

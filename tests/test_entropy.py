@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -339,7 +340,12 @@ class TestAxiomSuite:
                                  majorization_pairs=10)
         assert report.passed
 
-    def test_entropy_overflow_is_a_validation_error(self):
+    def test_entropy_overflow_is_a_validation_error(self, monkeypatch):
+        # refused before the first draw: the bound is ln of the largest row
+        def never(*args):
+            raise AssertionError("drew before the entropy bound was checked")
+
+        monkeypatch.setattr(entropy, "_simplex_rows", never)
         with pytest.raises(ValidationError, match="entropy value must be finite"):
             run_axiom_suite(0, n_distributions=100, k=1e308)
 
@@ -348,10 +354,10 @@ class TestEntropyRows:
     @given(st.lists(distributions(max_n=12), min_size=1, max_size=8))
     def test_rows_match_single_distributions(self, dists):
         flat, offsets = ragged([d.probs for d in dists])
-        # the per-distribution sum, written out: -k fsum(p ln p) over p > 0
-        expected = [BITS * math.fsum((-p * np.log(p)).tolist())
+        # the per-distribution sum in nats, written out: -fsum(p ln p) over p > 0
+        expected = [math.fsum((-p * np.log(p)).tolist())
                     for p in (d.probs[d.probs > 0] for d in dists)]
-        assert entropy_rows(flat, offsets, BITS) == expected
+        assert entropy_rows(flat, offsets) == expected
 
 
 CELLS = DiscretizedShellDensity.uniform(np.ones(4))
@@ -376,3 +382,63 @@ def test_bad_counts_and_seeds_raise_before_any_draw(call):
     with pytest.raises(ValidationError):
         call(rng)
     assert rng.bit_generator.state == state
+
+
+# -- an independent oracle: the paper's central sums in 50-digit mpmath --------------
+#
+# Each value is summed from ln p_i and ln h_i, each a few ulps of its size
+# off, so its error is bounded by 2^-50 k sum p_i (1 + |ln p_i| + |ln h_i|),
+# the bound of the shell entropy's oracle in tests/test_statmech.py.
+
+ORACLE_K = st.sampled_from([1.0, BITS, 2.5])
+
+
+def oracle_probs(n, seed, power):
+    """n probabilities from exponential weights raised to `power` (8 spreads
+    them over many decades), about a tenth of them 0."""
+    rng = np.random.default_rng(seed)
+    w = rng.exponential(size=n) ** power * (rng.random(n) < 0.9)
+    w[0] += 1.0
+    return DiscreteDistribution(w / math.fsum(w.tolist()))
+
+
+def oracle(probs, log_widths, k):
+    """The exact -k sum p (ln p - ln h) of the given floats, and its bound."""
+    with mpmath.workdps(50):
+        cells = [(mpmath.mpf(p), mpmath.mpf(lh)) for p, lh in zip(probs, log_widths) if p > 0]
+        logs = [(p, mpmath.log(p), lh) for p, lh in cells]
+        exact = -mpmath.mpf(k) * mpmath.fsum(p * (lp - lh) for p, lp, lh in logs)
+        bound = 2**-50 * mpmath.mpf(k) * mpmath.fsum(
+            p * (1 + abs(lp) + abs(lh)) for p, lp, lh in logs)
+    return exact, bound
+
+
+class TestMpmathOracle:
+    @given(st.integers(2, 3000), st.integers(0, 2**32 - 1), st.sampled_from([1, 8]), ORACLE_K)
+    @settings(max_examples=40, deadline=None)
+    def test_shannon_entropy(self, n, seed, power, k):
+        d = oracle_probs(n, seed, power)
+        exact, bound = oracle(d.probs.tolist(), [0.0] * n, k)
+        assert abs(shannon_entropy(d, k).value - exact) <= bound
+
+    @given(st.integers(2, 3000), st.integers(0, 2**32 - 1), st.sampled_from([1, 8]), ORACLE_K)
+    @settings(max_examples=40, deadline=None)
+    def test_total_entropy_at_widths_to_e_to_the_30(self, n, seed, power, k):
+        d = oracle_probs(n, seed, power)
+        widths = np.exp(np.random.default_rng(seed + 1).uniform(-30.0, 30.0, n))
+        v = BinnedVariable(np.arange(n, dtype=float), d, widths)
+        with mpmath.workdps(50):
+            log_widths = [mpmath.log(mpmath.mpf(h)) for h in widths.tolist()]
+        exact, bound = oracle(d.probs.tolist(), log_widths, k)
+        assert abs(total_entropy(v, k).value - exact) <= bound
+
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 2**32 - 1), ORACLE_K)
+    @settings(max_examples=40, deadline=None)
+    def test_additivity_defect_is_zero_within_the_bound(self, n, m, seed, k):
+        # H(p x q) = H(p) + H(q) exactly, so the defect is at most the three
+        # bounds; the joint's rounded products p_i q_j move it far less
+        p, q = oracle_probs(n, seed, 1), oracle_probs(m, seed + 1, 1)
+        joint = np.outer(p.probs, q.probs).ravel().tolist()
+        bound = sum(oracle(x, [0.0] * len(x), k)[1] for x in (p.probs.tolist(),
+                                                              q.probs.tolist(), joint))
+        assert additivity_defect(p, q, k) <= bound

@@ -30,6 +30,7 @@ from entrokit import (
     ValidationError,
     boltzmann_entropy,
     compare_entropy_forms,
+    convergence_sweep,
     differential_entropy,
     discrete_from_json,
     maxent_shell_check,
@@ -149,7 +150,7 @@ def test_shell_entropy_is_k_times_the_fsum_of_its_terms(m, seed, C, k):
     (mw, ew), (mc, ec) = np.frexp(w), math.frexp(C)
     log_h = np.log(mw / mc) + (ew - ec) * math.log(2.0)
     expected = k * math.fsum((-p[mask] * (np.log(p[mask]) - log_h[mask])).tolist())
-    assert shell_entropy(d, C, k) == expected
+    assert shell_entropy(d, C, k).value == expected
 
 
 @given(st.lists(near_boundary(), min_size=1, max_size=6))
@@ -191,6 +192,7 @@ ENTROPY_VALUES = {
     "modified_differential_entropy": lambda k: modified_differential_entropy(GAUSSIAN, 0.5, k),
     "boltzmann_entropy": lambda k: boltzmann_entropy(GAS, k),
     "sackur_tetrode_entropy": lambda k: sackur_tetrode_entropy(GAS, k),
+    "shell_entropy": lambda k: shell_entropy(DiscretizedShellDensity.uniform([1.0, 2.0]), 0.5, k),
 }
 
 
@@ -298,6 +300,10 @@ REFUSED = {
     "binned-extra-key": lambda: binned_from_json(
         {"values": [0, 1], "probs": [0.5, 0.5], "widths": [1, 2], "x": 1}),
     "density-params-not-a-dict": lambda: DensitySpec("exponential", [("rate", 1.0)]),
+    # containers: check_sequence
+    "density-support-of-three": lambda: DensitySpec("uniform", {"a": 0, "b": 1}, (0, 1, 2)),
+    "samples-not-pairs": lambda: PhiPrimeSamples([0.1, 0.2, 0.3]),
+    "sweep-widths-none": lambda: convergence_sweep(GAUSSIAN, None),
 }
 
 

@@ -1,4 +1,7 @@
+import io
+import json
 import math
+from contextlib import redirect_stdout
 
 import mpmath
 import numpy as np
@@ -17,7 +20,7 @@ from entrokit import (
     total_entropy_from_density,
 )
 
-from entrokit import density_from_json, quantize
+from entrokit import cli, density_from_json, quantize
 
 from conftest import oracle_entropy_integral
 
@@ -320,9 +323,10 @@ class TestConvergenceSweep:
 
 
 def test_a_last_edge_beyond_the_float_range_reads_as_its_limit():
-    """h * n overflows at the last edge; bin_masses clips that +inf edge to
-    b, so the bins are right, and the warning filters make a numpy warning
-    fail."""
+    """h * n overflows on the way to the last edge, -1e308 + 2e308, which is
+    formed at a quarter of the scale instead; bin_masses clips it to b, as
+    it would an edge past the float range, so the bins are right, and the
+    warning filters make a numpy warning fail."""
     f = density_from_json('{"family":"uniform","a":-1e308,"b":1e300}')
     assert quantize_density(f, 1e308).to_json_obj() == {
         "h": 1e308,
@@ -337,3 +341,25 @@ def test_a_last_edge_beyond_the_float_range_reads_as_its_limit():
     assert [(r.h, r.total_entropy) for r in rows] == [
         (1e308, 709.1962088363729), (5e307, 709.1962088294413)
     ]
+
+
+@pytest.mark.parametrize("sigma, h", [
+    (1e307, 1e308),  # h t overflows, though x0 + h t does not
+    (1.2e307, 1.3e308),  # the left edge -1.5 h itself is past the float range
+])
+def test_grid_points_that_are_finite_stay_finite(sigma, h):
+    """A centred grid of three bins: every midpoint is finite, and so are
+    the two inner edges, though (x0 + s h) + h t overflows on the way to
+    them.  The masses are those of the exact edges, and no numpy warning
+    is raised (the warning filters make one fail)."""
+    f = DensitySpec.gaussian(0.0, sigma)
+    r = quantize_density(f, h)
+    assert r.binned.values.tolist() == pytest.approx([-h, 0.0, h], rel=1e-15)
+    edges = [-math.inf, -0.5 * h, 0.5 * h, math.inf]
+    assert r.binned.probs.tolist() == pytest.approx(
+        [oracle_bin_mass(f, a, b) for a, b in zip(edges, edges[1:])], rel=1e-12)
+    out = io.StringIO()
+    density = json.dumps({"family": "gaussian", "mu": 0, "sigma": sigma})
+    with redirect_stdout(out):
+        assert cli.main(["quantize", "--density", density, "--h", repr(h)]) == 0
+    assert json.loads(out.getvalue())["binned"]["values"] == r.binned.values.tolist()
