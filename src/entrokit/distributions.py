@@ -484,6 +484,23 @@ def ragged(rows) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(rows), offsets_of([r.size for r in rows])
 
 
+def positions_of(offsets: np.ndarray) -> np.ndarray:
+    """The position of every element of a block within its row."""
+    return np.arange(offsets[0], offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
+
+
+def row_blocks(sizes):
+    """(a, b) for each block of consecutive rows a to b - 1 of the given
+    sizes: the blocks hold at most BLOCK_ELEMENTS elements, unless one row
+    alone holds more."""
+    ends = offsets_of(sizes)
+    a = 0
+    while a < len(sizes):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] + BLOCK_ELEMENTS, "right")) - 1)
+        yield a, b
+        a = b
+
+
 def _sum_error_bound(n: np.ndarray, size: np.ndarray) -> np.ndarray:
     """Bound on |np.sum(row) - sum(row)| for rows of n elements with
     sum|x_i| = size, in whatever order np.sum adds: g * size with

@@ -27,8 +27,10 @@ from .distributions import (
     check_probability_rows,
     check_real,
     offsets_of,
+    positions_of,
     product_distribution,
     product_tolerance,
+    row_blocks,
     segment_fsums,
 )
 from .errors import EvaluationFailure, PhiUndefined, ValidationError
@@ -195,11 +197,6 @@ def schur_concavity_check(
 # pairs, which the checks then read as arrays.
 
 
-def _columns(offsets: np.ndarray) -> np.ndarray:
-    """The position of every element of a block within its row."""
-    return np.arange(offsets[0], offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
-
-
 def _simplex_rows(rng: np.random.Generator, offsets: np.ndarray) -> np.ndarray:
     """Uniform draws from the simplices of the rows of a block: normalized
     exponentials, drawn by one rng call, each row divided by its exact sum
@@ -257,19 +254,15 @@ def _pair_blocks(rng: np.random.Generator, pairs: int, low, high, elements):
     unless one pair alone holds more."""
     for first in range(0, pairs, BLOCK_ELEMENTS):
         sizes = rng.integers(low, high, (min(BLOCK_ELEMENTS, pairs - first), len(low))).T
-        ends = offsets_of(elements(sizes))
-        a = 0
-        while a < sizes.shape[1]:
-            b = max(a + 1, int(np.searchsorted(ends, ends[a] + BLOCK_ELEMENTS, "right")) - 1)
+        for a, b in row_blocks(elements(sizes)):
             yield sizes[:, a:b]
-            a = b
 
 
 def _padded(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """The rows of a block as a zero-padded 2-D array."""
     n = np.diff(offsets)
     out = np.zeros((n.size, n.max()))
-    out[np.repeat(np.arange(n.size), n), _columns(offsets)] = flat
+    out[np.repeat(np.arange(n.size), n), positions_of(offsets)] = flat
     return out
 
 
@@ -373,7 +366,7 @@ def run_axiom_suite(
         offsets = offsets_of(np.concatenate((n, m, n * m)))
         pq = _simplex_rows(rng, offsets[: 2 * n.size + 1])
         pair = np.repeat(np.arange(n.size), n * m)
-        at = _columns(offsets[2 * n.size :])  # entry (j, a) of joint row r is p_j q_a
+        at = positions_of(offsets[2 * n.size :])  # entry (j, a) of joint row r is p_j q_a
         joint = pq[offsets[pair] + at // m[pair]] * pq[offsets[n.size + pair] + at % m[pair]]
         flat = np.concatenate((pq, joint))
         tol = np.full(3 * n.size, DEFAULT_TOLERANCE)
@@ -390,19 +383,21 @@ def run_axiom_suite(
         start = _simplex_rows(rng, offsets[: n.size + 1])
         flat = np.concatenate((start, _robin_hood(rng, start, offsets[: n.size + 1], transfers)))
         check_probability_rows(flat, offsets, DEFAULT_TOLERANCE)
-        hp, hq = (k * np.array(entropy_rows(flat, offsets))).reshape(2, -1)
+        hp, hq = np.array(entropy_rows(flat, offsets)).reshape(2, -1)  # in nats, as the tolerance
         p, q = np.split(_padded(flat, offsets), 2)
         p_maj_q = _majorizes(p, q)
         ordered = _entropy_ordered(p_maj_q, _majorizes(q, p), hp, hq)
         majorization_violations += int(np.count_nonzero(~(p_maj_q & ordered)))
 
+    # decided in nats, reported in units of k: k scales each defect and its
+    # rounding alike, so the thresholds bound the defects over k
     passed = (
         min_entropy >= 0.0
-        and max_bound_excess <= 1e-12
-        and uniform_gap <= 1e-12
+        and max_bound_excess / k <= 1e-12
+        and uniform_gap / k <= 1e-12
         and equality_only_at_uniform
-        and additivity_max <= 1e-10
-        and concavity_min_slack >= -1e-10
+        and additivity_max / k <= 1e-10
+        and concavity_min_slack / k >= -1e-10
         and majorization_violations == 0
     )
     return AxiomSuiteReport(

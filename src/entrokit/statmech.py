@@ -255,17 +255,16 @@ def maxent_shell_check(
     The optimum is known in closed form (constant density), so the burden
     here is falsification: `trials` random normalization- and
     nonnegativity-preserving perturbations of the uniform density, none of
-    which may exceed its entropy by more than 1e-12.  The trials are drawn
-    one by one and checked in blocks of about BLOCK_ELEMENTS cells; each
-    trial's shell-density checks and its entropy test decide exactly as
-    fsum would.
+    which may exceed its entropy by more than 1e-12 nats, whatever the unit
+    k of the reported entropy.  The trials are drawn one by one and checked
+    in blocks of about BLOCK_ELEMENTS cells; each trial's shell-density
+    checks and its entropy test decide exactly as fsum would.
     """
     check_count(trials, "trials", 1)
     check_count(seed, "seed", 0)
     entropy = shell_entropy(d, C, k)
-    k = entropy.k
     uniform = DiscretizedShellDensity.uniform(d.cell_volumes)
-    threshold = shell_entropy(uniform, C, k).value + MAXENT_SLACK
+    threshold = shell_entropy(uniform, C).value + MAXENT_SLACK  # in nats
     rng = np.random.default_rng(seed)
     w = d.cell_volumes
     m = w.size
@@ -290,7 +289,7 @@ def maxent_shell_check(
         ok = probability_rows_ok(masses.ravel(), offsets, SHELL_TOLERANCE)
         valid = rows if ok.all() else int(np.argmin(ok))
         terms = entropy_terms(masses[:valid], log_h).ravel()
-        if fsum_decides(terms, offsets[: valid + 1], lambda s: k * s > threshold).any():
+        if fsum_decides(terms, offsets[: valid + 1], lambda s: s > threshold).any():
             return MaxentReport(entropy=entropy.value, is_maximal=False)
         if valid < rows:
             _raise_shell_row_error(masses[valid])

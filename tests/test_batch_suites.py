@@ -6,10 +6,12 @@ The corpus is written by `scripts/axiom_golden.py`; run it on a checkout to
 see that checkout's outputs.
 """
 
+import io
 import json
 import math
 import re
 import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from entrokit import (
     DiscreteDistribution,
     DiscretizedShellDensity,
     InvalidDensity,
+    cli,
     entropy,
     maxent_shell_check,
     random_distribution,
@@ -246,3 +249,51 @@ def test_axiom_suite_memory_is_bounded():
 def test_maxent_memory_is_bounded():
     d = _cells(4096)
     assert _peak(lambda: maxent_shell_check(d, C=1.0, trials=200, seed=2)) < PEAK_CEILING
+
+
+# Boltzmann's constant in J/K: a unit k far below 1
+K_BOLTZMANN = 1.380649e-23
+SMALL_SUITE = {"n_distributions": 20, "additivity_pairs": 20, "majorization_pairs": 20}
+
+
+def test_axiom_suite_passes_in_any_unit():
+    """The suite decides in nats.  At k = 1e6 the rounding of k * H leaves an
+    additivity defect near 1e-9 in units of k, above the 1e-10 threshold,
+    yet 1e-15 nats."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["axioms", "--seed", "1", "--n-dists", "20", "--additivity-pairs", "20",
+                         "--majorization-pairs", "20", "--k", "1e6"])
+    report = json.loads(out.getvalue())
+    assert code == 0 and report["passed"]
+    assert report["additivity_max_defect"] > 1e-10
+
+
+def test_a_planted_defect_fails_in_any_unit(monkeypatch):
+    """1e-9 nats added to every entropy fails the suite at Boltzmann's k,
+    where it is 1.4e-32 in units of k."""
+    assert run_axiom_suite(1, k=K_BOLTZMANN, **SMALL_SUITE).passed
+    rows = entropy.entropy_rows
+    monkeypatch.setattr(entropy, "entropy_rows",
+                        lambda flat, offsets, log_h=0.0: [s + 1e-9 for s in rows(flat, offsets, log_h)])
+    report = run_axiom_suite(1, k=K_BOLTZMANN, **SMALL_SUITE)
+    assert not report.passed
+    assert report.additivity_max_defect / K_BOLTZMANN == pytest.approx(1e-9, rel=1e-3)
+
+
+@pytest.mark.parametrize("k", [1.0, 1e6, K_BOLTZMANN])
+def test_maxent_slack_is_in_nats(k, monkeypatch):
+    """A planted negative slack stops the check at the same trial in any
+    unit k."""
+    d, C, trials, seed = _cells(64), 1.0, 80, 3
+    w = d.cell_volumes
+    s_uniform = shell_entropy(DiscretizedShellDensity.uniform(w), C).value
+    deficit = [s_uniform - shell_entropy(DiscretizedShellDensity(w, mixed), C).value
+               for mixed in _trials(d, trials, seed)]
+    first_exceeding = _new_lows(deficit)
+    assert first_exceeding
+    assert maxent_shell_check(d, C, k, trials=trials, seed=seed).is_maximal
+    for i, cut in first_exceeding:
+        monkeypatch.setattr(statmech, "MAXENT_SLACK", -cut)
+        assert maxent_shell_check(d, C, k, trials=i, seed=seed).is_maximal
+        assert not maxent_shell_check(d, C, k, trials=i + 1, seed=seed).is_maximal

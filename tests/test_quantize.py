@@ -164,10 +164,23 @@ class TestQuantizeDensity:
         def never(*args):
             raise AssertionError("quantized before the grid bound was checked")
 
-        monkeypatch.setattr(quantize, "quantize_density", never)
+        monkeypatch.setattr(quantize, "_quantized_rows", never)
         hs = [0.5 * 2.0**-j for j in range(40)]
         with pytest.raises(ValidationError, match="bins"):
             convergence_sweep(DensitySpec.gaussian(0.0, 1.0), hs)
+
+    def test_k_is_checked_before_quantizing(self, monkeypatch):
+        """A 4-million-bin grid is refused for its k before any bin of it is
+        computed."""
+        def never(*args):
+            raise AssertionError("quantized before k was checked")
+
+        monkeypatch.setattr(quantize, "_quantized_rows", never)
+        f, h = DensitySpec.gaussian(0.0, 1.0), 15 / 4e6
+        with pytest.raises(ValidationError, match="^k must be"):
+            total_entropy_from_density(f, h, k="x")
+        with pytest.raises(ValidationError, match="^k must be"):
+            convergence_sweep(f, [h], k=0.0)
 
     def test_point_mass_gaussian_is_one_bin(self):
         r = quantize_density(DensitySpec.gaussian(0.0, 1e-300), 1.0)
