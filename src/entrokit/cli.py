@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import entropy, functional_eq, quantize, statmech
 from .distributions import (
+    EntropyValue,
     binned_from_json,
     check_count,
     check_positive,
@@ -250,14 +251,15 @@ def _cmd_statmech(ns: argparse.Namespace) -> dict:
         if ln_omega is None:
             ln_omega = statmech.log_phase_shell_volume(shell)
         return statmech.compare_entropy_forms(ln_omega, shell.planck_h, shell.N, k).to_json_obj()
-    # rel_diff does not depend on k, so it is taken in nats, where neither
-    # the difference nor the ratio leaves the float range as k * S may
+    # each entropy is taken once, in nats, and k * S formed from it; rel_diff
+    # does not depend on k, so it stays in nats, where neither the difference
+    # nor the ratio leaves the float range as k * S may
     s = statmech.boltzmann_entropy(shell).value
     st = statmech.sackur_tetrode_entropy(shell).value
     return {
         "lnOmega": statmech.log_phase_shell_volume(shell),
-        "S": statmech.boltzmann_entropy(shell, k).value,
-        "S_sackur_tetrode": statmech.sackur_tetrode_entropy(shell, k).value,
+        "S": EntropyValue.of(s, k).value,
+        "S_sackur_tetrode": EntropyValue.of(st, k).value,
         "rel_diff": abs(s - st) / abs(st) if st != 0.0 else None,
     }
 

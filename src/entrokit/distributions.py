@@ -11,7 +11,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from statistics import NormalDist
 from typing import Any
 
 import numpy as np
@@ -29,13 +28,16 @@ DEFAULT_TOLERANCE = 1e-9
 # enough that the residual mass never disturbs 1e-12-level identities built
 # on quantized distributions.
 TRUNCATION_EPS = 1e-13
+# -NormalDist().inv_cdf(TRUNCATION_EPS / 2): the gaussian's truncated support
+# is mu -/+ this many sigma
+GAUSSIAN_HALF_WIDTH = 7.440902150642369
 
 # Most elements one batch block of ragged rows holds (a single larger row
 # makes a block of its own).  Each block pays a fixed set of numpy calls, so
 # larger blocks pay them less often; the block's arrays set the memory peak.
 # At 16,384 a default axiom suite and a 4,096-cell max-entropy check peak
-# near 1.4 and 1.3 MiB under tracemalloc, within their 2 MiB test ceiling;
-# at 65,536 they peak near 4.9 and 4.6 MiB.
+# near 1.4 and 1.0 MiB under tracemalloc, within their 2 MiB test ceiling;
+# at 65,536 they peak near 4.9 and 3.6 MiB.
 BLOCK_ELEMENTS = 16384
 
 # Most elements one row may hold: the bins of one grid, the joint
@@ -251,14 +253,13 @@ class DensitySpec:
 
     @staticmethod
     def _natural_support(family: DensityFamily, params: dict[str, float]) -> tuple[float, float]:
-        eps = TRUNCATION_EPS
         if family is DensityFamily.UNIFORM:
             return params["a"], params["b"]
         if family is DensityFamily.GAUSSIAN:
             mu, sigma = params["mu"], check_positive(params["sigma"], "sigma")
-            half = -NormalDist().inv_cdf(eps / 2.0) * sigma
+            half = GAUSSIAN_HALF_WIDTH * sigma
             return mu - half, mu + half
-        return 0.0, -math.log(eps / 2.0) / check_positive(params["rate"], "rate")
+        return 0.0, -math.log(TRUNCATION_EPS / 2.0) / check_positive(params["rate"], "rate")
 
     # -- pointwise evaluation --------------------------------------------
 
@@ -477,11 +478,6 @@ def offsets_of(sizes) -> np.ndarray:
     offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
     np.cumsum(sizes, out=offsets[1:])
     return offsets
-
-
-def ragged(rows) -> tuple[np.ndarray, np.ndarray]:
-    """The flat array and the offsets of a block of rows."""
-    return np.concatenate(rows), offsets_of([r.size for r in rows])
 
 
 def positions_of(offsets: np.ndarray) -> np.ndarray:

@@ -197,10 +197,10 @@ def schur_concavity_check(
 # pairs, which the checks then read as arrays.
 
 
-def _simplex_rows(rng: np.random.Generator, offsets: np.ndarray) -> np.ndarray:
+def simplex_rows(rng: np.random.Generator, offsets: np.ndarray) -> np.ndarray:
     """Uniform draws from the simplices of the rows of a block: normalized
     exponentials, drawn by one rng call, each row divided by its exact sum
-    (fsum's bits, from segment_fsums)."""
+    (fsum's bits, from segment_fsums).  The one simplex draw of the package."""
     w = rng.exponential(size=offsets[-1])
     return w / np.repeat(segment_fsums(w, offsets), np.diff(offsets))
 
@@ -208,7 +208,7 @@ def _simplex_rows(rng: np.random.Generator, offsets: np.ndarray) -> np.ndarray:
 def random_distribution(rng: np.random.Generator, n: int) -> DiscreteDistribution:
     """Uniform draw from the n-simplex (normalized exponentials)."""
     check_count(n, "n", 1, MAX_ROW)
-    return DiscreteDistribution(_simplex_rows(rng, np.array([0, n])))
+    return DiscreteDistribution(simplex_rows(rng, np.array([0, n])))
 
 
 def _robin_hood(rng, flat: np.ndarray, offsets: np.ndarray, transfers: np.ndarray) -> np.ndarray:
@@ -241,7 +241,7 @@ def robin_hood_pair(
     check_count(n, "n", 2, MAX_ROW)
     check_count(transfers, "transfers", 0)
     offsets = np.array([0, n])
-    start = _simplex_rows(rng, offsets)
+    start = simplex_rows(rng, offsets)
     flat = _robin_hood(rng, start, offsets, np.array([transfers]))
     return DiscreteDistribution(start), DiscreteDistribution(flat)
 
@@ -338,7 +338,7 @@ def run_axiom_suite(
     # rows: every a, every b, then every mixture lam * a + (1 - lam) * b
     for (n,) in _pair_blocks(rng, n_distributions // 2, [1], [max_n + 1], lambda s: 3 * s[0]):
         offsets = offsets_of(np.tile(n, 3))
-        ab = _simplex_rows(rng, offsets[: 2 * n.size + 1])
+        ab = simplex_rows(rng, offsets[: 2 * n.size + 1])
         lam = rng.uniform(0.0, 1.0, n.size)
         w = np.repeat(lam, n)
         a, b = np.split(ab, 2)
@@ -364,7 +364,7 @@ def run_axiom_suite(
     for n, m in _pair_blocks(rng, additivity_pairs, [1, 1], [max_n + 1] * 2,
                              lambda s: s[0] + s[1] + s[0] * s[1]):
         offsets = offsets_of(np.concatenate((n, m, n * m)))
-        pq = _simplex_rows(rng, offsets[: 2 * n.size + 1])
+        pq = simplex_rows(rng, offsets[: 2 * n.size + 1])
         pair = np.repeat(np.arange(n.size), n * m)
         at = positions_of(offsets[2 * n.size :])  # entry (j, a) of joint row r is p_j q_a
         joint = pq[offsets[pair] + at // m[pair]] * pq[offsets[n.size + pair] + at % m[pair]]
@@ -380,7 +380,7 @@ def run_axiom_suite(
     for n, transfers in _pair_blocks(rng, majorization_pairs, [2, 1], [max_n + 1, 6],
                                      lambda s: 2 * s[0]):
         offsets = offsets_of(np.tile(n, 2))
-        start = _simplex_rows(rng, offsets[: n.size + 1])
+        start = simplex_rows(rng, offsets[: n.size + 1])
         flat = np.concatenate((start, _robin_hood(rng, start, offsets[: n.size + 1], transfers)))
         check_probability_rows(flat, offsets, DEFAULT_TOLERANCE)
         hp, hq = np.array(entropy_rows(flat, offsets)).reshape(2, -1)  # in nats, as the tolerance

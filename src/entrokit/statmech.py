@@ -41,9 +41,8 @@ from .distributions import (
     fsum_decides,
     probability_rows_ok,
     row_fsum,
-    segment_fsums,
 )
-from .entropy import entropy_rows, entropy_terms
+from .entropy import entropy_rows, entropy_terms, simplex_rows
 from .errors import InvalidDensity, NonPositiveWidth, ValidationError
 
 FOUR_PI_3 = 4.0 * math.pi / 3.0
@@ -256,36 +255,29 @@ def maxent_shell_check(
     here is falsification: `trials` random normalization- and
     nonnegativity-preserving perturbations of the uniform density, none of
     which may exceed its entropy by more than 1e-12 nats, whatever the unit
-    k of the reported entropy.  The trials are drawn one by one and checked
-    in blocks of about BLOCK_ELEMENTS cells; each trial's shell-density
-    checks and its entropy test decide exactly as fsum would.
+    k of the reported entropy.  Each trial is a row of cell masses
+    (1 - t) u + t q: u the uniform masses, q a simplex_rows row from one
+    child stream of the seed, t in (0, 1] from the other.  Blocks of about
+    BLOCK_ELEMENTS cells are drawn and checked at once; each stream is read
+    in order, so the report does not depend on the block size, and every
+    check decides exactly as fsum would.
     """
     check_count(trials, "trials", 1)
     check_count(seed, "seed", 0)
     entropy = shell_entropy(d, C, k)
     uniform = DiscretizedShellDensity.uniform(d.cell_volumes)
     threshold = shell_entropy(uniform, C).value + MAXENT_SLACK  # in nats
-    rng = np.random.default_rng(seed)
+    draws, weights = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     w = d.cell_volumes
     m = w.size
+    u = _cell_masses(w, uniform.densities)
     log_h = _log_widths(w, C)
-    # w * raw overflows for cells near the float limit where the cells
-    # scaled by 2^-e (w.max() < 2^e) do not; power-of-two scaling is exact
-    e = math.frexp(float(w.max()))[1]
-    scaled = np.ldexp(w, -e)
     per_block = max(1, BLOCK_ELEMENTS // m)
     for first in range(0, trials, per_block):
         rows = min(per_block, trials - first)
-        raw = np.empty((rows, m))
-        t = np.empty((rows, 1))
-        for i in range(rows):
-            raw[i] = rng.exponential(size=m)
-            t[i] = 1.0 - rng.random()  # in (0, 1]: never the uniform point itself
         offsets = np.arange(rows + 1) * m
-        norm = segment_fsums((scaled * raw).ravel(), offsets)[:, None]
-        candidate = np.ldexp(raw / norm, -e)
-        mixed = (1.0 - t) * uniform.densities + t * candidate
-        masses = _cell_masses(w, mixed)
+        t = 1.0 - weights.random((rows, 1))  # in (0, 1]: never the uniform point itself
+        masses = (1.0 - t) * u + t * simplex_rows(draws, offsets).reshape(rows, m)
         ok = probability_rows_ok(masses.ravel(), offsets, SHELL_TOLERANCE)
         valid = rows if ok.all() else int(np.argmin(ok))
         terms = entropy_terms(masses[:valid], log_h).ravel()

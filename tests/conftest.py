@@ -5,6 +5,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 from entrokit import DensityFamily, DiscreteDistribution
+from entrokit.distributions import offsets_of
+
+
+def ragged(rows):
+    """The flat array and the offsets of a block of rows."""
+    return np.concatenate(rows), offsets_of([r.size for r in rows])
 
 
 @st.composite

@@ -10,6 +10,8 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -34,10 +36,12 @@ from entrokit import (
 )
 from entrokit.distributions import BLOCK_ELEMENTS, offsets_of
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "axiom_golden.json").read_text())
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_PATH = ROOT / "tests" / "data" / "axiom_golden.json"
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 # Blocks hold about 16,384 elements, so a default suite and a 4,096-cell
-# max-entropy check peak near 1.4 and 1.3 MiB; a batch over a whole phase at
+# max-entropy check peak near 1.4 and 1.0 MiB; a batch over a whole phase at
 # once peaks above 30 MiB.
 PEAK_CEILING = 2 * 2**20
 
@@ -47,7 +51,7 @@ PEAK_CEILING = 2 * 2**20
 @example([3, BLOCK_ELEMENTS + 7, 1], 5)
 def test_simplex_rows_are_exponentials_over_their_fsum(sizes, seed):
     offsets = offsets_of(sizes)
-    drawn = entropy._simplex_rows(np.random.default_rng(seed), offsets)
+    drawn = entropy.simplex_rows(np.random.default_rng(seed), offsets)
     w = np.random.default_rng(seed).exponential(size=offsets[-1])
     for a, b in zip(offsets[:-1], offsets[1:]):
         expected = w[a:b] / math.fsum(w[a:b].tolist())
@@ -70,7 +74,7 @@ def test_robin_hood_blocks_keep_every_pair_ordered(pairs, seed):
     n, transfers = np.array(pairs).T
     offsets = offsets_of(n)
     rng = np.random.default_rng(seed)
-    start = entropy._simplex_rows(rng, offsets)
+    start = entropy.simplex_rows(rng, offsets)
     flat = entropy._robin_hood(rng, start, offsets, transfers)
     for a, b in zip(offsets[:-1], offsets[1:]):
         report = schur_concavity_check(DiscreteDistribution(start[a:b]),
@@ -127,26 +131,44 @@ def test_maxent_results(case):
     assert (report.entropy, report.is_maximal) == (case["entropy"], case["is_maximal"])
 
 
+def test_golden_script_writes_the_corpus(tmp_path):
+    out = tmp_path / "g.json"
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "axiom_golden.py"), "--out", str(out)],
+                   check=True, capture_output=True)
+    assert out.read_bytes() == GOLDEN_PATH.read_bytes()
+
+
 def _trials(d, trials, seed):
-    """The densities of maxent_shell_check's trials, drawn one at a time in
-    the order the check draws them."""
+    """The cell masses of maxent_shell_check's trials, drawn one at a time
+    from the check's two child streams of the seed, in the order it reads
+    them."""
     w = d.cell_volumes
-    uniform = DiscretizedShellDensity.uniform(w)
-    rng = np.random.default_rng(seed)
+    u = w * DiscretizedShellDensity.uniform(w).densities
+    draws, weights = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     for _ in range(trials):
-        raw = rng.exponential(size=w.size)
-        candidate = raw / math.fsum((w * raw).tolist())
-        t = 1.0 - rng.random()
-        yield (1.0 - t) * uniform.densities + t * candidate
+        raw = draws.exponential(size=w.size)
+        q = raw / math.fsum(raw.tolist())
+        t = 1.0 - weights.random()
+        yield (1.0 - t) * u + t * q
 
 
-def _reference_maxent(d, C, trials, seed):
-    """The per-trial loop the batched check replaced: build each trial as a
-    carrier, then compare its entropy with the uniform one plus the slack."""
+def _trial_entropies(d, C, trials, seed):
+    """The shell entropy of each trial, from the carrier of its density
+    masses / w on d's cells w."""
+    w = d.cell_volumes
+    return [shell_entropy(DiscretizedShellDensity(w, masses / w), C).value
+            for masses in _trials(d, trials, seed)]
+
+
+def _reference_maxent(d, C, trials, seed, entropies):
+    """The per-trial loop the batched check replaced: check each trial's
+    masses as a carrier on unit cells, whose masses are the trial's bit for
+    bit, then compare its entropy with the uniform one plus the slack."""
     threshold = shell_entropy(DiscretizedShellDensity.uniform(d.cell_volumes), C).value
     threshold += statmech.MAXENT_SLACK
-    for mixed in _trials(d, trials, seed):
-        if shell_entropy(DiscretizedShellDensity(d.cell_volumes, mixed), C).value > threshold:
+    for masses, s in zip(_trials(d, trials, seed), entropies):
+        DiscretizedShellDensity(np.ones(masses.size), masses)
+        if s > threshold:
             return False
     return True
 
@@ -179,10 +201,9 @@ def test_maxent_decisions_match_the_per_trial_loop(m, monkeypatch):
     d, C, trials, seed = _cells(m), 1.0, 80, 3
     w = d.cell_volumes
     s_uniform = shell_entropy(DiscretizedShellDensity.uniform(w), C).value
-    deficit, error = [], []
-    for mixed in _trials(d, trials, seed):
-        deficit.append(s_uniform - shell_entropy(DiscretizedShellDensity(w, mixed), C).value)
-        error.append(abs(math.fsum((w * mixed).tolist()) - 1.0))
+    entropies = _trial_entropies(d, C, trials, seed)
+    deficit = [s_uniform - s for s in entropies]
+    error = [abs(math.fsum(masses.tolist()) - 1.0) for masses in _trials(d, trials, seed)]
     # each cut picks one trial: a slack of -cut makes it the first to exceed
     # the threshold, a tolerance of -cut the first to fail normalization
     first_exceeding = _new_lows(deficit)
@@ -198,7 +219,7 @@ def test_maxent_decisions_match_the_per_trial_loop(m, monkeypatch):
             monkeypatch.setattr(statmech, "MAXENT_SLACK", slack)
             monkeypatch.setattr(statmech, "SHELL_TOLERANCE", tolerance)
             try:
-                expected = _reference_maxent(d, C, trials, seed)
+                expected = _reference_maxent(d, C, trials, seed, entropies)
             except InvalidDensity as exc:
                 with pytest.raises(InvalidDensity, match=re.escape(str(exc))):
                     maxent_shell_check(d, C, trials=trials, seed=seed)
@@ -210,14 +231,13 @@ def test_maxent_decisions_match_the_per_trial_loop(m, monkeypatch):
 
 
 def test_maxent_report_does_not_depend_on_the_block_size(monkeypatch):
-    """The trials are drawn one by one in the same order whatever the block
+    """Each of the check's two streams is read in order whatever the block
     size, so blocks of one trial, of a few and of all of them give the same
     report, and a planted negative slack stops the check at the same trial."""
     d, C, trials, seed = _cells(64), 1.0, 80, 3
     w = d.cell_volumes
     s_uniform = shell_entropy(DiscretizedShellDensity.uniform(w), C).value
-    deficit = [s_uniform - shell_entropy(DiscretizedShellDensity(w, mixed), C).value
-               for mixed in _trials(d, trials, seed)]
+    deficit = [s_uniform - s for s in _trial_entropies(d, C, trials, seed)]
     first_exceeding = _new_lows(deficit)
     assert first_exceeding
     slack = statmech.MAXENT_SLACK
@@ -288,8 +308,7 @@ def test_maxent_slack_is_in_nats(k, monkeypatch):
     d, C, trials, seed = _cells(64), 1.0, 80, 3
     w = d.cell_volumes
     s_uniform = shell_entropy(DiscretizedShellDensity.uniform(w), C).value
-    deficit = [s_uniform - shell_entropy(DiscretizedShellDensity(w, mixed), C).value
-               for mixed in _trials(d, trials, seed)]
+    deficit = [s_uniform - s for s in _trial_entropies(d, C, trials, seed)]
     first_exceeding = _new_lows(deficit)
     assert first_exceeding
     assert maxent_shell_check(d, C, k, trials=trials, seed=seed).is_maximal

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entrokit import cli, entropy
+from entrokit import cli, entropy, statmech
 
 
 def invoke(argv):
@@ -210,6 +210,28 @@ class TestRunOutputs:
         body = json.loads(out)
         assert set(body) == {"lnOmega", "S", "S_sackur_tetrode", "rel_diff"}
         assert body["rel_diff"] == pytest.approx(0.007155662091160249, rel=1e-9)
+
+    @pytest.mark.parametrize("unit", [[], ["--unit", "bits"], ["--k", "2.5"]])
+    def test_statmech_ideal_gas_takes_each_entropy_once(self, unit, monkeypatch):
+        calls = {}
+
+        def counted(name):
+            fn = getattr(statmech, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        names = ("boltzmann_entropy", "sackur_tetrode_entropy", "log_phase_shell_volume")
+        for name in names:
+            monkeypatch.setattr(statmech, name, counted(name))
+        code, _, _ = invoke(["statmech", "ideal-gas", "--E", "150", "--dE", "1.5", "--V", "1000",
+                             "--N", "100", "--indistinguishable", *unit])
+        assert code == 0
+        # one shell volume for lnOmega, one inside boltzmann_entropy
+        assert calls == {"boltzmann_entropy": 1, "sackur_tetrode_entropy": 1,
+                         "log_phase_shell_volume": 2}
 
     @pytest.mark.parametrize(
         "gas, s_sackur_tetrode",
@@ -413,7 +435,7 @@ class TestExitCodes:
         def no_draw(rng, offsets):
             raise AssertionError(f"drew a block of {offsets[-1]} elements")
 
-        monkeypatch.setattr(entropy, "_simplex_rows", no_draw)
+        monkeypatch.setattr(entropy, "simplex_rows", no_draw)
         code, out, _ = invoke(["axioms", "--max-n", "100000000000", "--n-dists", "2",
                                "--additivity-pairs", "0", "--majorization-pairs", "0"])
         assert code == 65
@@ -677,6 +699,22 @@ def test_cli_import_loads_no_scipy():
     code = (
         "import entrokit.cli, sys; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_cli_import_loads_no_statistics():
+    # statistics pulls in fractions and decimal, a few ms of every process;
+    # the gaussian truncation quantile it gave is a literal constant
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = (
+        "import entrokit.cli, sys; "
+        "print(sorted(m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -29,14 +29,15 @@ from entrokit import (
 )
 
 from entrokit.distributions import (
+    GAUSSIAN_HALF_WIDTH,
     MAX_ROW,
+    TRUNCATION_EPS,
     check_probability_rows,
     fsum_decides,
     normalized_rows,
-    ragged,
 )
 
-from conftest import distributions, same_length_pairs
+from conftest import distributions, ragged, same_length_pairs
 
 
 class TestValidateDistribution:
@@ -184,6 +185,13 @@ class TestDensitySpec:
         lo, hi = f.support
         assert lo == -hi
         assert f.bin_masses(np.array([lo, hi]))[0] >= 1 - 1e-9
+
+    def test_gaussian_half_width_is_the_truncation_quantile(self):
+        from statistics import NormalDist
+
+        assert GAUSSIAN_HALF_WIDTH == -NormalDist().inv_cdf(TRUNCATION_EPS / 2.0)
+        f = DensitySpec.gaussian(3.0, 0.7)
+        assert f.support == (3.0 - GAUSSIAN_HALF_WIDTH * 0.7, 3.0 + GAUSSIAN_HALF_WIDTH * 0.7)
 
     def test_exponential_left_edge_is_zero(self):
         f = DensitySpec.exponential(2.0)

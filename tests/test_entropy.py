@@ -31,10 +31,9 @@ from entrokit import (
 )
 
 from entrokit import entropy
-from entrokit.distributions import ragged
 from entrokit.entropy import _pinsker_holds, entropy_rows
 
-from conftest import distributions, same_length_pairs
+from conftest import distributions, ragged, same_length_pairs
 
 LN2 = math.log(2.0)
 BITS = 1.0 / LN2
@@ -321,7 +320,7 @@ class TestAxiomSuite:
         def no_draw(rng, offsets):
             raise AssertionError(f"drew a block of {offsets[-1]} elements")
 
-        monkeypatch.setattr(entropy, "_simplex_rows", no_draw)
+        monkeypatch.setattr(entropy, "simplex_rows", no_draw)
         with pytest.raises(ValidationError):
             run_axiom_suite(0, **{"n_distributions": 2, **sizes})
         with pytest.raises(AssertionError, match="drew a block"):
@@ -345,7 +344,7 @@ class TestAxiomSuite:
         def never(*args):
             raise AssertionError("drew before the entropy bound was checked")
 
-        monkeypatch.setattr(entropy, "_simplex_rows", never)
+        monkeypatch.setattr(entropy, "simplex_rows", never)
         with pytest.raises(ValidationError, match="entropy value must be finite"):
             run_axiom_suite(0, n_distributions=100, k=1e308)
 

@@ -23,7 +23,9 @@ from entrokit import (
     shannon_entropy,
     total_entropy,
 )
-from entrokit.distributions import fsum_decides, normalized_rows, ragged, segment_fsums
+from entrokit.distributions import fsum_decides, normalized_rows, segment_fsums
+
+from conftest import ragged
 
 ELEMENTS = st.one_of(
     st.floats(),  # every double, the infinities and nan included

@@ -52,10 +52,11 @@ from entrokit.distributions import (
     check_probability_rows,
     unit_to_k,
     normalized_rows,
-    ragged,
 )
 from entrokit.entropy import entropy_rows
 from entrokit.statmech import SHELL_TOLERANCE
+
+from conftest import ragged
 
 TOLERANCES = st.sampled_from([1e-12, 1e-9, 1e-6, 0.25])
 
