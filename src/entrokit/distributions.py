@@ -36,9 +36,12 @@ GAUSSIAN_HALF_WIDTH = 7.440902150642369
 # makes a block of its own).  Each block pays a fixed set of numpy calls, so
 # larger blocks pay them less often; the block's arrays set the memory peak.
 # At 16,384 a default axiom suite and a 4,096-cell max-entropy check peak
-# near 1.4 and 1.0 MiB under tracemalloc, within their 2 MiB test ceiling;
-# at 65,536 they peak near 4.9 and 3.6 MiB.
+# near 1.4 and 0.8 MiB under tracemalloc, within their 2 MiB test ceiling;
+# at 65,536 they peak near 4.4 and 2.6 MiB.
 BLOCK_ELEMENTS = 16384
+# Most elements of a block that segment_fsums and fsum_decides sum by fsum row
+# by row, which beats their numpy calls below about 1,000 (500 for decisions).
+FSUM_ELEMENTS = 256
 
 # Most elements one row may hold: the bins of one grid, the joint
 # distribution of one suite pair (32 MiB per float array).  Checked before
@@ -296,7 +299,7 @@ class DensitySpec:
                 t = (edges - mu) / (sigma * SQRT2)
             # 2 P(X beyond x), on x's own side of the mean: one erfc per
             # edge, and the complement 2 - e only on the bulk side
-            e = np.fromiter(map(math.erfc, np.abs(t).tolist()), float, t.size)
+            e = np.fromiter(map(math.erfc, memoryview(np.abs(t))), float, t.size)
             right = t >= 0
             upper = np.where(right, e, 2.0 - e)  # 2 P(X > x)
             lower = np.where(right, 2.0 - e, e)  # 2 P(X < x)
@@ -513,6 +516,11 @@ def _fsum(row: np.ndarray) -> float:
     return math.fsum(row.tolist())
 
 
+def _rows(flat: np.ndarray, offsets: np.ndarray):
+    """The rows of a block, one view each."""
+    return (flat[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+
+
 def segment_fsums(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """math.fsum of every row, bit for bit: the exact sums that reports
     carry.
@@ -536,19 +544,22 @@ def segment_fsums(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     non-finite entry, has an extraction constant beyond 2^EXTRACT_MAX_EXP,
     or a sum of size below 2^EXTRACT_MIN_EXP, zero included (which keeps
     fsum's sign of zero).  So every value, and every error fsum raises, is
-    fsum's."""
+    fsum's.  A block of at most FSUM_ELEMENTS elements goes to fsum row by row."""
+    if flat.size <= FSUM_ELEMENTS:
+        return np.array([_fsum(row) for row in _rows(flat, offsets)])
     n = offsets[1:] - offsets[:-1]
     starts = offsets[:-1]
     with np.errstate(invalid="ignore", over="ignore"):
         # ceil(log2(n + 2)) + e
         top = np.frexp(n + 1.0)[1] + np.frexp(np.maximum.reduceat(np.abs(flat), starts))[1]
         sigma = np.repeat(np.ldexp(1.0, top), n)
-        q = (sigma + flat) - sigma
-        del sigma  # a row may be long: hold no more arrays of its size than needed
-        r = flat - q
+        q = np.add(sigma, flat)
+        q -= sigma
+        # a row may be long: r, then |r|, take the storage of sigma, then of q
+        r = np.subtract(flat, q, out=sigma)
         s = np.add.reduceat(q, starts)
         rest = np.add.reduceat(r, starts)
-        size = np.add.reduceat(np.abs(r), starts)
+        size = np.add.reduceat(np.abs(r, out=q), starts)
         c = s + rest
         # TwoSum: err = s + rest - c exactly
         v = c - s
@@ -569,6 +580,16 @@ def row_fsum(x: np.ndarray) -> float:
     return float(segment_fsums(x, np.array([0, x.size]))[0])
 
 
+def _scaled_fsum(row: np.ndarray) -> float:
+    """fsum(row), or where its partial sums leave the float range, the
+    fsum of row * 2^-s with 2^s > n scaled back: fsum_decides' exact sum."""
+    try:
+        return _fsum(row)
+    except OverflowError:
+        s = row.size.bit_length()
+        return _fsum(np.ldexp(row, -s)) * 2.0**s
+
+
 def fsum_decides(flat: np.ndarray, offsets: np.ndarray, *predicates) -> np.ndarray:
     """Whether every predicate holds at math.fsum(row), for every row.  A
     predicate maps an array of row sums to bools and must be monotone in
@@ -585,7 +606,11 @@ def fsum_decides(flat: np.ndarray, offsets: np.ndarray, *predicates) -> np.ndarr
 
     On a block of 16,384 elements, in rows of 4 to 4,096, this pass costs
     a sixth to a third of an exact segment_fsums, and the band holds few
-    rows, so decisions do not take exact sums."""
+    rows, so decisions do not take exact sums.  A block of at most
+    FSUM_ELEMENTS elements is summed by fsum row by row."""
+    if flat.size <= FSUM_ELEMENTS:
+        exact = np.array([_scaled_fsum(row) for row in _rows(flat, offsets)])
+        return np.logical_and.reduce([p(exact) for p in predicates])
     starts = offsets[:-1]
     with np.errstate(invalid="ignore", over="ignore"):  # such rows fall back
         sums = np.add.reduceat(flat, starts)
@@ -601,12 +626,7 @@ def fsum_decides(flat: np.ndarray, offsets: np.ndarray, *predicates) -> np.ndarr
     if unsure.size:
         exact = lo.copy()
         for i in unsure:
-            row = flat[offsets[i]:offsets[i + 1]]
-            try:
-                exact[i] = _fsum(row)
-            except OverflowError:
-                s = row.size.bit_length()
-                exact[i] = _fsum(np.ldexp(row, -s)) * 2.0**s
+            exact[i] = _scaled_fsum(flat[offsets[i]:offsets[i + 1]])
         decided[unsure] = np.logical_and.reduce([p(exact) for p in predicates])[unsure]
     return decided
 
@@ -624,10 +644,10 @@ def probability_rows_ok(flat: np.ndarray, offsets: np.ndarray, tolerance) -> np.
     """The one decision of a probability vector, for every row of a block:
     finite, nonnegative and |fsum(row) - 1| <= tolerance (a scalar or one
     per row)."""
-    good = np.isfinite(flat) & (flat >= 0)
-    return np.logical_and.reduceat(good, offsets[:-1]) & normalized_rows(
-        np.where(good, flat, 0.0), offsets, tolerance
-    )
+    good = np.isfinite(flat)
+    good &= flat >= 0
+    ok = np.logical_and.reduceat(good, offsets[:-1])
+    return ok & normalized_rows(flat if ok.all() else np.where(good, flat, 0.0), offsets, tolerance)
 
 
 def check_probability_rows(flat: np.ndarray, offsets: np.ndarray, tolerance) -> None:

@@ -42,9 +42,13 @@ PINSKER_SLACK = 1e-12
 
 def entropy_terms(flat: np.ndarray, log_h=0.0) -> np.ndarray:
     """-p (ln p - ln h) for every entry p, shaped like flat and 0 where p = 0, with ln h
-    a scalar (0 for Shannon) or an array that broadcasts against flat: total
-    entropy's terms (section 3).  A block's terms keep the block's offsets."""
-    return -flat * (np.log(flat, out=np.zeros_like(flat), where=flat > 0) - log_h)
+    a scalar (0 for Shannon) or an array that broadcasts to flat's shape: total
+    entropy's terms (section 3).  A block's terms keep the block's offsets.
+    Formed in the log's output array: -(p x) is (-p) x exactly."""
+    terms = np.log(flat, out=np.zeros_like(flat), where=flat > 0)
+    terms -= log_h
+    terms *= flat
+    return np.negative(terms, out=terms)
 
 
 def entropy_rows(flat: np.ndarray, offsets: np.ndarray, log_h=0.0) -> list[float]:
@@ -201,8 +205,9 @@ def simplex_rows(rng: np.random.Generator, offsets: np.ndarray) -> np.ndarray:
     """Uniform draws from the simplices of the rows of a block: normalized
     exponentials, drawn by one rng call, each row divided by its exact sum
     (fsum's bits, from segment_fsums).  The one simplex draw of the package."""
-    w = rng.exponential(size=offsets[-1])
-    return w / np.repeat(segment_fsums(w, offsets), np.diff(offsets))
+    w = rng.standard_exponential(offsets[-1])
+    w /= np.repeat(segment_fsums(w, offsets), np.diff(offsets))
+    return w
 
 
 def random_distribution(rng: np.random.Generator, n: int) -> DiscreteDistribution:
@@ -342,7 +347,11 @@ def run_axiom_suite(
         lam = rng.uniform(0.0, 1.0, n.size)
         w = np.repeat(lam, n)
         a, b = np.split(ab, 2)
-        flat = np.concatenate((ab, w * a + (1.0 - w) * b))
+        flat = np.concatenate((ab, a))  # the copy of a becomes the mixture in place
+        flat[ab.size :] *= w
+        np.subtract(1.0, w, out=w)
+        w *= b
+        flat[ab.size :] += w
         check_probability_rows(flat, offsets, DEFAULT_TOLERANCE)
         h = (k * np.array(entropy_rows(flat, offsets))).reshape(3, -1)
         ha, hb, hmix = h
@@ -365,10 +374,13 @@ def run_axiom_suite(
                              lambda s: s[0] + s[1] + s[0] * s[1]):
         offsets = offsets_of(np.concatenate((n, m, n * m)))
         pq = simplex_rows(rng, offsets[: 2 * n.size + 1])
-        pair = np.repeat(np.arange(n.size), n * m)
-        at = positions_of(offsets[2 * n.size :])  # entry (j, a) of joint row r is p_j q_a
-        joint = pq[offsets[pair] + at // m[pair]] * pq[offsets[n.size + pair] + at % m[pair]]
-        flat = np.concatenate((pq, joint))
+        nm = n * m
+        # entry (j, a) of joint row r is p_j q_a
+        j, a = np.divmod(positions_of(offsets[2 * n.size :]), np.repeat(m, nm))
+        j += np.repeat(offsets[: n.size], nm)
+        a += np.repeat(offsets[n.size : 2 * n.size], nm)
+        flat = np.concatenate((pq, pq[j]))
+        flat[pq.size :] *= pq[a]
         tol = np.full(3 * n.size, DEFAULT_TOLERANCE)
         tol[2 * n.size :] = product_tolerance(DEFAULT_TOLERANCE, n + m)
         check_probability_rows(flat, offsets, tol)

@@ -202,7 +202,7 @@ def _block_entropies(f: DensitySpec, hs: np.ndarray, grids, k: float) -> list[En
     valid = ok.size if ok.all() else int(np.argmin(ok))
     values = []
     if valid:
-        log_h = np.log(np.repeat(hs[:valid], n[:valid]))
+        log_h = np.repeat(np.log(hs[:valid]), n[:valid])
         nats = entropy_rows(probs[: offsets[valid]], offsets[: valid + 1], log_h)
         values = [EntropyValue.of(s, k) for s in nats]
     if valid < ok.size:

@@ -277,7 +277,9 @@ def maxent_shell_check(
         rows = min(per_block, trials - first)
         offsets = np.arange(rows + 1) * m
         t = 1.0 - weights.random((rows, 1))  # in (0, 1]: never the uniform point itself
-        masses = (1.0 - t) * u + t * simplex_rows(draws, offsets).reshape(rows, m)
+        masses = simplex_rows(draws, offsets).reshape(rows, m)
+        masses *= t
+        masses += (1.0 - t) * u
         ok = probability_rows_ok(masses.ravel(), offsets, SHELL_TOLERANCE)
         valid = rows if ok.all() else int(np.argmin(ok))
         terms = entropy_terms(masses[:valid], log_h).ravel()

@@ -1,16 +1,44 @@
 import math
+import tracemalloc
+from contextlib import contextmanager
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from entrokit import DensityFamily, DiscreteDistribution
-from entrokit.distributions import offsets_of
+from entrokit.distributions import FSUM_ELEMENTS, offsets_of
 
 
 def ragged(rows):
     """The flat array and the offsets of a block of rows."""
     return np.concatenate(rows), offsets_of([r.size for r in rows])
+
+
+def peak_bytes(fn):
+    """The tracemalloc peak of the bytes allocated while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# FSUM_ELEMENTS values that send every block of a test through
+# segment_fsums' and fsum_decides' numpy passes (0), or through fsum row by
+# row up to the package's own threshold
+SUM_PATHS = (0, FSUM_ELEMENTS)
+
+
+@contextmanager
+def sum_path(elements):
+    """Blocks of at most `elements` elements summed by fsum row by row, and
+    every larger block by the numpy passes, inside the with block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("entrokit.distributions.FSUM_ELEMENTS", elements)
+        yield
 
 
 @st.composite

@@ -12,7 +12,6 @@ import math
 import re
 import subprocess
 import sys
-import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -36,12 +35,14 @@ from entrokit import (
 )
 from entrokit.distributions import BLOCK_ELEMENTS, offsets_of
 
+from conftest import peak_bytes
+
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_PATH = ROOT / "tests" / "data" / "axiom_golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 # Blocks hold about 16,384 elements, so a default suite and a 4,096-cell
-# max-entropy check peak near 1.4 and 1.0 MiB; a batch over a whole phase at
+# max-entropy check peak near 1.4 and 0.8 MiB; a batch over a whole phase at
 # once peaks above 30 MiB.
 PEAK_CEILING = 2 * 2**20
 
@@ -230,6 +231,28 @@ def test_maxent_decisions_match_the_per_trial_loop(m, monkeypatch):
     assert outcomes == {"invalid", "exceeds", "maximal"}
 
 
+@pytest.mark.parametrize("m", [64, BLOCK_ELEMENTS // 4 + 1])
+def test_maxent_first_block_holds_the_per_trial_masses(m, monkeypatch):
+    """The first block's cell masses are _trials' out-of-place masses, bit
+    for bit: 80 trials in one block, and 3 trials a block.  A change of
+    stream, of draw order or of the mixing arithmetic fails here, where the
+    planted slacks and tolerances of the decision test may still agree."""
+    d, C, trials, seed = _cells(m), 1.0, 80, 3
+    blocks = []
+    terms = statmech.entropy_terms
+
+    def record(masses, log_h):
+        blocks.append(masses.copy())
+        return terms(masses, log_h)
+
+    monkeypatch.setattr(statmech, "entropy_terms", record)
+    assert maxent_shell_check(d, C, trials=trials, seed=seed).is_maximal
+    rows = min(trials, BLOCK_ELEMENTS // m)
+    expected = np.array(list(_trials(d, rows, seed)))
+    assert blocks[0].shape == (rows, m)
+    assert blocks[0].tobytes() == expected.tobytes()
+
+
 def test_maxent_report_does_not_depend_on_the_block_size(monkeypatch):
     """Each of the check's two streams is read in order whatever the block
     size, so blocks of one trial, of a few and of all of them give the same
@@ -253,22 +276,13 @@ def test_maxent_report_does_not_depend_on_the_block_size(monkeypatch):
             assert not maxent_shell_check(d, C, trials=i + 1, seed=seed).is_maximal
 
 
-def _peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_axiom_suite_memory_is_bounded():
-    assert _peak(lambda: run_axiom_suite(1)) < PEAK_CEILING
+    assert peak_bytes(lambda: run_axiom_suite(1)) < PEAK_CEILING
 
 
 def test_maxent_memory_is_bounded():
     d = _cells(4096)
-    assert _peak(lambda: maxent_shell_check(d, C=1.0, trials=200, seed=2)) < PEAK_CEILING
+    assert peak_bytes(lambda: maxent_shell_check(d, C=1.0, trials=200, seed=2)) < PEAK_CEILING
 
 
 # Boltzmann's constant in J/K: a unit k far below 1

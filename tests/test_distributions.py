@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -37,7 +36,14 @@ from entrokit.distributions import (
     normalized_rows,
 )
 
-from conftest import distributions, ragged, same_length_pairs
+from conftest import (
+    SUM_PATHS,
+    distributions,
+    peak_bytes,
+    ragged,
+    same_length_pairs,
+    sum_path,
+)
 
 
 class TestValidateDistribution:
@@ -108,14 +114,12 @@ class TestProductDistribution:
 
     def test_joint_size_is_bounded_before_it_is_allocated(self):
         p = DiscreteDistribution(np.full(2049, 1.0 / 2049))
-        tracemalloc.start()
-        try:
+
+        def refuse():
             with pytest.raises(ValidationError, match=f"<= {MAX_ROW}"):
                 product_distribution(p, p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+
+        assert peak_bytes(refuse) < 2 * 2**20
 
     @given(same_length_pairs(min_n=1, max_n=12))
     def test_output_valid_at_scaled_tolerance(self, pq):
@@ -353,7 +357,8 @@ class TestCertifiedDecisions:
         flat, offsets = ragged(rows)
         expected = [abs(math.fsum(r.tolist()) - 1.0) <= 1e-9 for r in rows]
         calls = self.fsum_calls(monkeypatch)
-        assert normalized_rows(flat, offsets, 1e-9).tolist() == expected
+        with sum_path(0):  # the np.sum pass, which this small block skips by default
+            assert normalized_rows(flat, offsets, 1e-9).tolist() == expected
         assert len(calls) == 4  # every row but the last is too close to call
 
     @given(
@@ -370,8 +375,10 @@ class TestCertifiedDecisions:
         exact = np.array([math.fsum(r.tolist()) for r in rows])
         # thresholds a few ulps either side of each exact sum
         thr = exact + ulps * np.spacing(np.abs(exact))
-        got = fsum_decides(flat, offsets, lambda t: t > thr, lambda t: t - 1.0 <= 1e-9)
-        assert got.tolist() == ((exact > thr) & (exact - 1.0 <= 1e-9)).tolist()
+        for elements in SUM_PATHS:
+            with sum_path(elements):
+                got = fsum_decides(flat, offsets, lambda t: t > thr, lambda t: t - 1.0 <= 1e-9)
+            assert got.tolist() == ((exact > thr) & (exact - 1.0 <= 1e-9)).tolist()
 
     def test_block_checks_raise_the_carrier_error_of_the_first_bad_row(self):
         flat, offsets = ragged([np.array([0.5, 0.5]), np.array([0.7, 0.5]), np.array([-0.5, 1.5])])

@@ -25,7 +25,7 @@ from entrokit import (
 )
 from entrokit.distributions import fsum_decides, normalized_rows, segment_fsums
 
-from conftest import ragged
+from conftest import SUM_PATHS, ragged, sum_path
 
 ELEMENTS = st.one_of(
     st.floats(),  # every double, the infinities and nan included
@@ -60,12 +60,26 @@ def fsum_outcome(row):
         return (type(exc), str(exc))
 
 
-def block_outcome(rows_):
+def block_outcome(rows_, elements):
     """segment_fsums over the block of rows, as per-row bits, or the error
-    it raises."""
+    it raises, with blocks of at most `elements` elements summed by fsum."""
     flat, offsets = ragged([np.array(r, dtype=float) for r in rows_])
     try:
-        return [float(s).hex() for s in segment_fsums(flat, offsets)]
+        with sum_path(elements):
+            return [float(s).hex() for s in segment_fsums(flat, offsets)]
+    except (OverflowError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+def decision_outcome(rows_, elements):
+    """fsum_decides of sum > 1 and of sum < 1e308 over the block of rows, or
+    the error it raises, with blocks of at most `elements` elements summed
+    by fsum."""
+    flat, offsets = ragged([np.array(r, dtype=float) for r in rows_])
+    try:
+        with sum_path(elements):
+            return [fsum_decides(flat, offsets, p).tolist()
+                    for p in (lambda t: t > 1.0, lambda t: t < 1e308)]
     except (OverflowError, ValueError) as exc:
         return (type(exc), str(exc))
 
@@ -83,7 +97,22 @@ class TestSegmentFsums:
         expected = [fsum_outcome(r) for r in rows_]
         errors = [e for e in expected if isinstance(e, tuple)]
         # a block raises the error of its first row that fsum raises on
-        assert block_outcome(rows_) == (errors[0] if errors else expected)
+        for elements in SUM_PATHS:
+            assert block_outcome(rows_, elements) == (errors[0] if errors else expected)
+
+    @pytest.mark.parametrize("rows_", [
+        [[-0.0], [-0.0, -0.0], [1.0, -1.0], [0.25]],  # zero totals of either sign
+        [[1e308, 1e308], [1.0]],  # fsum overflows; decisions scale the row
+        [[0.5], [math.inf, 1.0], [-math.inf], [math.nan, 1.0]],
+        [[1.0], [math.inf, -math.inf], [1e308, 1e308]],  # fsum's ValueError
+    ])
+    def test_small_blocks_take_fsum_with_the_same_bits_and_errors(self, rows_):
+        """A block of at most FSUM_ELEMENTS elements skips the numpy passes
+        and goes to fsum row by row: both paths give the same bits,
+        decisions and errors."""
+        for outcome in (block_outcome, decision_outcome):
+            numpy_passes, row_by_row = (outcome(rows_, e) for e in SUM_PATHS)
+            assert numpy_passes == row_by_row
 
     def test_long_rows(self):
         rng = np.random.default_rng(11)
@@ -118,7 +147,8 @@ class TestSegmentFsums:
             [3.0, 2.0**-70],
         ]
         flat, offsets = ragged([np.array(r) for r in rows_])
-        got = segment_fsums(flat, offsets).tolist()
+        with sum_path(0):  # the numpy passes, which this small block skips by default
+            got = segment_fsums(flat, offsets).tolist()
         assert got == [1.0, 1.0 + 2.0**-52, 1.0, 0.0, 1.0, 3.0]
         assert called == rows_[1:5]
 
@@ -131,11 +161,13 @@ class TestSumsBeyondTheFloatRange:
     def test_decisions_on_rows_whose_partial_sums_overflow(self):
         # fsum raises on both; the first sum is 2e308, the second 1e308
         flat, offsets = ragged([np.array([1e308, 1e308]), np.array([1e308, 1e308, -1e308])])
-        assert normalized_rows(flat, offsets, 1e-9).tolist() == [False, False]
-        above = fsum_decides(flat, offsets, lambda t: t > 5e307)
-        below = fsum_decides(flat, offsets, lambda t: t < 1.5e308)
-        assert above.tolist() == [True, True]
-        assert below.tolist() == [False, True]
+        for elements in SUM_PATHS:
+            with sum_path(elements):
+                assert normalized_rows(flat, offsets, 1e-9).tolist() == [False, False]
+                above = fsum_decides(flat, offsets, lambda t: t > 5e307)
+                below = fsum_decides(flat, offsets, lambda t: t < 1.5e308)
+            assert above.tolist() == [True, True]
+            assert below.tolist() == [False, True]
 
     def test_shell_density_whose_weights_overflow(self):
         with pytest.raises(InvalidDensity, match="beyond the float range"):

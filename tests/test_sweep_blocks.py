@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -27,6 +26,8 @@ from entrokit import (
     total_entropy_from_density,
 )
 from entrokit.distributions import BLOCK_ELEMENTS
+
+from conftest import peak_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -127,15 +128,6 @@ def test_rows_before_a_failing_width_are_formed_first():
         convergence_sweep(COLLAPSING, [1e-5, 1e-6], k=1e308)
 
 
-def _peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("count", [11, 13])
 @pytest.mark.parametrize("f", [DensitySpec.gaussian(0.0, 1.0), DensitySpec.exponential(1.0)],
                          ids=["gaussian", "exponential"])
@@ -144,8 +136,8 @@ def test_sweep_memory_is_about_one_widths(f, count):
     block at a time, so its peak stays near that of the finest width alone."""
     lo, hi = f.support
     hs = halvings((hi - lo) / 16, count)
-    alone = _peak(lambda: total_entropy_from_density(f, hs[-1]))
-    assert _peak(lambda: convergence_sweep(f, hs)) <= 1.5 * alone
+    alone = peak_bytes(lambda: total_entropy_from_density(f, hs[-1]))
+    assert peak_bytes(lambda: convergence_sweep(f, hs)) <= 1.5 * alone
 
 
 def test_convergence_study_writes_what_converge_prints(tmp_path):
