@@ -55,6 +55,29 @@ BITS_K = 1.0 / LN2
 SQRT2 = math.sqrt(2.0)
 HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
+# erf_split's pieces, fitted by scripts/erf_fit.py (mpmath 1.3.0): erf(t) =
+# t + t P(t^2) for |t| < ERF_NEAR; erfc(x) = exp(-x^2) R((x - 3)/(x + 3)) up
+# to ERFC_FAR, and exp(-x^2) Q(1/x^2) / x from there.  erfc rounds to 0 from
+# about x = 27.2, so larger x, inf included, is read as ERFC_ZERO.
+ERF_NEAR, ERFC_FAR, ERFC_ZERO = 0.75, 6.0, 27.5
+ERF_NEAR_P = (
+    1.1472499701094691e-08, -1.5940066854661717e-07, 1.643068417974155e-06,
+    -1.4924196305569617e-05, 0.00012055289567541706, -0.0008548326188759752, 0.005223977615420539,
+    -0.026866170644428485, 0.11283791670952596, -0.37612638903183715, 0.1283791670955126,
+)
+ERFC_MID_R = (
+    -1.6765221805840914e-07, -2.1476388667435354e-07, 1.25808120149777e-06, 2.0943042836658166e-06,
+    -7.98615711227755e-06, -1.285727508287555e-05, 6.405813402781729e-05, 4.525512796022144e-05,
+    -0.0005970620880930369, 0.0007077464410175722, 0.004269136339094823, -0.024392499318562477,
+    0.07166583719784277, -0.15011593650078014, 0.245603801712332, -0.3262335600430372,
+    0.17900115118138996,
+)
+ERFC_FAR_Q = (
+    92075.12002292661, -25006.23066866484, 4054.3906595796225, -586.9115191209945,
+    91.51417736327535, -16.660096988181703, 3.7024876063761933, -1.0578554468499726,
+    0.4231421876215437, -0.28209479177385105, 0.5641895835477563,
+)
+
 
 # the types of a real a caller hands in, alone or in a list or tuple; bool
 # is an int, and is refused by name wherever these are tested
@@ -286,24 +309,25 @@ class DensitySpec:
         """Closed-form mass of every bin between consecutive increasing
         edges: the one mass formula, behind cdf, the captured-mass check and
         entropy_integral.  Each tail is differenced on its own small side
-        (upper-tail erfc right of a gaussian mean, lower-tail erfc left of
-        it, the survival function for the exponential), so tail bins keep
-        full relative precision instead of cancelling against 1."""
+        (erfc of |t| beyond a gaussian's central band |t| < ERF_NEAR, the
+        survival function for the exponential), so tail bins keep full
+        relative precision instead of cancelling against 1, and bins within
+        the band difference erf, where no value near 1 cancels either."""
         edges = np.asarray(edges, dtype=float)
         if self.family is DensityFamily.UNIFORM:
             a, b = self.params["a"], self.params["b"]
             return np.diff(np.clip(edges, a, b)) / (b - a)
         if self.family is DensityFamily.GAUSSIAN:
             mu, sigma = self.params["mu"], self.params["sigma"]
+            t = edges - mu
             with np.errstate(over="ignore"):  # a tiny sigma: t is +-inf, erfc's limit
-                t = (edges - mu) / (sigma * SQRT2)
-            # 2 P(X beyond x), on x's own side of the mean: one erfc per
-            # edge, and the complement 2 - e only on the bulk side
-            e = np.fromiter(map(math.erfc, memoryview(np.abs(t))), float, t.size)
-            right = t >= 0
-            upper = np.where(right, e, 2.0 - e)  # 2 P(X > x)
-            lower = np.where(right, 2.0 - e, e)  # 2 P(X < x)
-            return 0.5 * np.where(right[:-1], upper[:-1] - upper[1:], lower[1:] - lower[:-1])
+                t /= sigma * SQRT2
+            # 2 P(X < x) - 1 = erf(t) = d + s, differenced apart
+            d, s = erf_split(t)
+            m = np.subtract(d[1:], d[:-1])
+            m += np.subtract(s[1:], s[:-1])  # 0 but where a bin leaves the band or a tail
+            m *= 0.5
+            return m
         rate = self.params["rate"]
         x = np.maximum(edges, 0.0)
         with np.errstate(over="ignore"):  # a huge rate x: -inf, the limit exp reads
@@ -353,6 +377,92 @@ class DensitySpec:
     @classmethod
     def exponential(cls, rate: float) -> "DensitySpec":
         return cls(DensityFamily.EXPONENTIAL, {"rate": rate})
+
+
+# erf_split's pieces take an array, which they compute in place (every
+# block-sized temporary costs page faults), or a float, and give the same
+# bits either way
+def _horner(coeffs, s):
+    p = s * coeffs[0]
+    for c in coeffs[1:-1]:
+        p += c
+        p *= s
+    p += coeffs[-1]
+    return p
+
+
+def _exp(a):
+    return np.exp(a, out=a) if isinstance(a, np.ndarray) else np.exp(a)
+
+
+def _times_exp_neg_square(r, x):
+    """r exp(-x^2) for x >= 0, overwriting arrays r and x: x^2 = a^2 + b,
+    with a the top 26 bits of x (Veltkamp's split), so a^2 is exact, and
+    b = (x - a)(x + a) is at most 2^-25 x^2, so exp(-b) = 1 - c with
+    c = b (1 - b (1/2 - b/6)) to well within an ulp."""
+    a = x * -134217729.0  # -(2^27 + 1)
+    a -= a + x  # -a
+    b = x + a
+    x -= a
+    b *= x
+    c = b * (1.0 / 6.0)
+    c -= 0.5
+    c *= b
+    c += 1.0
+    c *= b
+    c *= r
+    r -= c
+    a *= a
+    a *= -1.0
+    r *= _exp(a)
+    return r
+
+
+def _erf_near(x):
+    p = _horner(ERF_NEAR_P, x * x)
+    p *= x
+    p += x
+    return p
+
+
+def _erfc_mid(x):
+    z = x - 3.0
+    z /= x + 3.0
+    return _times_exp_neg_square(_horner(ERFC_MID_R, z), x)
+
+
+def _erfc_far(x):
+    w = 1.0 / x
+    r = _horner(ERFC_FAR_Q, w * w)
+    r *= w
+    return _times_exp_neg_square(r, x)
+
+
+def erf_split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, s) with erf(t) = d + s: s is sign(t) from |t| = ERF_NEAR out
+    and 0 within, so d is erf itself near 0 and, beyond,
+    -sign(t) erfc(|t|), the tail on its own small side.  Each piece is
+    evaluated only at its own points, and a few points one by one as floats,
+    which costs less than the numpy calls and gives the same bits.  NaN
+    stays NaN."""
+    if t.size <= 4:
+        d, s, pieces = [], [], (_erf_near, _erfc_mid, _erfc_far)
+        for v in t.tolist():
+            x = min(abs(v), ERFC_ZERO)
+            piece = 0 if x < ERF_NEAR else 1 if x < ERFC_FAR else 2
+            y = math.copysign(pieces[piece](x), v)
+            d.append(-y if piece else y)
+            s.append(math.copysign(1.0 if piece else 0.0, v))
+        return np.array(d), np.array(s)
+    x = np.abs(t)
+    np.minimum(x, ERFC_ZERO, out=x)
+    near, mid = x < ERF_NEAR, x < ERFC_FAR
+    for piece, at in ((_erf_near, near), (_erfc_mid, near ^ mid), (_erfc_far, ~mid)):
+        if at.any():
+            x[at] = piece(x[at])  # x becomes erf near 0 and erfc beyond
+    np.copysign(x, t, out=x)
+    np.negative(x, out=x, where=~near)
+    return x, np.copysign(~near, t)
 
 
 class EntropyUnit(str, Enum):
@@ -426,9 +536,7 @@ def renormalize(probs, tolerance: float = DEFAULT_TOLERANCE) -> DiscreteDistribu
     try:
         total = row_fsum(arr)
     except OverflowError:
-        # the sum passes the largest double; 2^-s with 2^s > n brings it back
-        # in range, and scales exactly every entry large enough to matter
-        arr = np.ldexp(arr, -arr.size.bit_length())
+        arr = _scaled_down(arr)[0]
         total = row_fsum(arr)
     if total <= 0:
         raise NotNormalized("cannot renormalize: total mass is zero")
@@ -580,14 +688,22 @@ def row_fsum(x: np.ndarray) -> float:
     return float(segment_fsums(x, np.array([0, x.size]))[0])
 
 
+def _scaled_down(row: np.ndarray) -> tuple[np.ndarray, int]:
+    """(row * 2^-s, s) with 2^s > n: a sum of the row that passes the
+    largest double comes back in range, and every entry large enough to
+    matter is scaled exactly."""
+    s = row.size.bit_length()
+    return np.ldexp(row, -s), s
+
+
 def _scaled_fsum(row: np.ndarray) -> float:
-    """fsum(row), or where its partial sums leave the float range, the
-    fsum of row * 2^-s with 2^s > n scaled back: fsum_decides' exact sum."""
+    """fsum(row), or where its partial sums leave the float range, the fsum
+    of _scaled_down(row) scaled back: fsum_decides' exact sum."""
     try:
         return _fsum(row)
     except OverflowError:
-        s = row.size.bit_length()
-        return _fsum(np.ldexp(row, -s)) * 2.0**s
+        scaled, s = _scaled_down(row)
+        return _fsum(scaled) * 2.0**s
 
 
 def fsum_decides(flat: np.ndarray, offsets: np.ndarray, *predicates) -> np.ndarray:

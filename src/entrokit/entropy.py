@@ -359,7 +359,7 @@ def run_axiom_suite(
         max_bound_excess = max(max_bound_excess, float((h[:2] - k * np.log(n)).max()))
         slack = hmix - (lam * ha + (1.0 - lam) * hb)
         concavity_min_slack = min(concavity_min_slack, float(slack.min()))
-        holds = _pinsker_holds(flat, offsets, h.ravel(), k)[: 2 * n.size]
+        holds = _pinsker_holds(ab, offsets[: 2 * n.size + 1], h[:2].ravel(), k)
         equality_only_at_uniform = equality_only_at_uniform and bool(holds.all())
 
     # equality at the uniform point, for a spread of sizes

@@ -44,7 +44,6 @@ from .distributions import (
     check_sequence,
     normalized_rows,
     offsets_of,
-    positions_of,
     probability_rows_ok,
     row_blocks,
     row_fsum,
@@ -125,19 +124,27 @@ def _grid(f: DensitySpec, h: float) -> tuple[float, float, int]:
 
 def _grid_points(x0, s, h, offsets: np.ndarray, t0: float) -> np.ndarray:
     """The points (x0 + s h) + h t of a block of grids, one row per grid
-    (x0, s, h) with t = t0, t0 + 1, ... along the row.  A point that is not
-    finite is formed again at a quarter of the scale, which is exact, and
-    scaled back: that keeps a point finite where s h or h t overflows on the
-    way to it, and a point beyond the float range is +-inf, as bin_masses
-    reads it (where s h and h t are finite, a sum that overflows overflows
-    at the quarter scale too)."""
+    (x0, s, h) with t = t0, t0 + 1, ... along the row: t is one float arange
+    less the row offsets, exact, and the points are formed in place on it.
+    A point that is not finite is formed again at a quarter of the scale,
+    which is exact, and scaled back: that keeps a point finite where s h or
+    h t overflows on the way to it, and a point beyond the float range is
+    +-inf, as bin_masses reads it (where s h and h t are finite, a sum that
+    overflows overflows at the quarter scale too)."""
     n = np.diff(offsets)
-    t = positions_of(offsets) + t0
+
+    def points(scale: float) -> np.ndarray:
+        x = np.arange(float(offsets[-1]))
+        x -= np.repeat(offsets[:-1] - t0, n)
+        x *= np.repeat(scale * h, n)
+        x += np.repeat(scale * x0 + s * (scale * h), n)
+        return x
+
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.repeat(x0 + s * h, n) + np.repeat(h, n) * t
+        x = points(1.0)
         if np.isfinite(x).all():
             return x
-        quarter = 4.0 * (np.repeat(0.25 * x0 + s * (0.25 * h), n) + np.repeat(0.25 * h, n) * t)
+        quarter = 4.0 * points(0.25)
     return np.where(np.isfinite(x), x, quarter)
 
 
