@@ -55,10 +55,9 @@ BITS_K = 1.0 / LN2
 SQRT2 = math.sqrt(2.0)
 HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# erf_split's pieces, fitted by scripts/erf_fit.py (mpmath 1.3.0): erf(t) =
-# t + t P(t^2) for |t| < ERF_NEAR; erfc(x) = exp(-x^2) R((x - 3)/(x + 3)) up
-# to ERFC_FAR, and exp(-x^2) Q(1/x^2) / x from there.  erfc rounds to 0 from
-# about x = 27.2, so larger x, inf included, is read as ERFC_ZERO.
+# erf(t) = t + t P(t^2) for |t| < ERF_NEAR, erfc(x) = exp(-x^2) R((x - 3)/(x + 3))
+# up to ERFC_FAR and exp(-x^2) Q(1/x^2) / x from there, fitted by
+# scripts/erf_fit.py; erfc rounds to 0 from x = 27.2, so larger x reads ERFC_ZERO
 ERF_NEAR, ERFC_FAR, ERFC_ZERO = 0.75, 6.0, 27.5
 ERF_NEAR_P = (
     1.1472499701094691e-08, -1.5940066854661717e-07, 1.643068417974155e-06,
@@ -324,8 +323,8 @@ class DensitySpec:
                 t /= sigma * SQRT2
             # 2 P(X < x) - 1 = erf(t) = d + s, differenced apart
             d, s = erf_split(t)
-            m = np.subtract(d[1:], d[:-1])
-            m += np.subtract(s[1:], s[:-1])  # 0 but where a bin leaves the band or a tail
+            m = np.subtract(d[1:], d[:-1], out=t[:-1])
+            m += s[1:] - s[:-1]  # 0 but where a bin leaves the band or a tail
             m *= 0.5
             return m
         rate = self.params["rate"]
@@ -379,9 +378,8 @@ class DensitySpec:
         return cls(DensityFamily.EXPONENTIAL, {"rate": rate})
 
 
-# erf_split's pieces take an array, which they compute in place (every
-# block-sized temporary costs page faults), or a float, and give the same
-# bits either way
+# erf_split's pieces take an array, which they overwrite (every block-sized
+# temporary costs page faults), or a float, and give the same bits either way
 def _horner(coeffs, s):
     p = s * coeffs[0]
     for c in coeffs[1:-1]:
@@ -391,15 +389,10 @@ def _horner(coeffs, s):
     return p
 
 
-def _exp(a):
-    return np.exp(a, out=a) if isinstance(a, np.ndarray) else np.exp(a)
-
-
 def _times_exp_neg_square(r, x):
-    """r exp(-x^2) for x >= 0, overwriting arrays r and x: x^2 = a^2 + b,
-    with a the top 26 bits of x (Veltkamp's split), so a^2 is exact, and
-    b = (x - a)(x + a) is at most 2^-25 x^2, so exp(-b) = 1 - c with
-    c = b (1 - b (1/2 - b/6)) to well within an ulp."""
+    """r exp(-x^2) for x >= 0: x^2 = a^2 + b with a the top 26 bits of x
+    (Veltkamp's split), so a^2 is exact, and b = (x - a)(x + a) is at most
+    2^-25 x^2, so exp(-b) = 1 - c with c = b (1 - b (1/2 - b/6))."""
     a = x * -134217729.0  # -(2^27 + 1)
     a -= a + x  # -a
     b = x + a
@@ -414,7 +407,7 @@ def _times_exp_neg_square(r, x):
     r -= c
     a *= a
     a *= -1.0
-    r *= _exp(a)
+    r *= np.exp(a, out=a) if isinstance(a, np.ndarray) else np.exp(a)
     return r
 
 
@@ -439,30 +432,27 @@ def _erfc_far(x):
 
 
 def erf_split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d, s) with erf(t) = d + s: s is sign(t) from |t| = ERF_NEAR out
-    and 0 within, so d is erf itself near 0 and, beyond,
-    -sign(t) erfc(|t|), the tail on its own small side.  Each piece is
-    evaluated only at its own points, and a few points one by one as floats,
-    which costs less than the numpy calls and gives the same bits.  NaN
-    stays NaN."""
+    """(d, s) with erf(t) = d + s: the int8 s is sign(t) from |t| = ERF_NEAR
+    out and 0 within, so d is erf near 0 and, beyond, -sign(t) erfc(|t|),
+    the tail on its own small side.  Each piece is evaluated only at its own
+    points; a few points go one by one as floats, cheaper than numpy calls,
+    with the same bits.  NaN stays NaN."""
+    pieces = (_erf_near, _erfc_mid, _erfc_far)
+    s = np.subtract((t >= ERF_NEAR).view(np.int8), (t <= -ERF_NEAR).view(np.int8))
     if t.size <= 4:
-        d, s, pieces = [], [], (_erf_near, _erfc_mid, _erfc_far)
-        for v in t.tolist():
-            x = min(abs(v), ERFC_ZERO)
-            piece = 0 if x < ERF_NEAR else 1 if x < ERFC_FAR else 2
-            y = math.copysign(pieces[piece](x), v)
-            d.append(-y if piece else y)
-            s.append(math.copysign(1.0 if piece else 0.0, v))
-        return np.array(d), np.array(s)
+        x = [min(abs(v), ERFC_ZERO) for v in t.tolist()]
+        k = [(v >= ERF_NEAR) + (v >= ERFC_FAR) + (v != v) for v in x]  # NaN is not near
+        d = [math.copysign(pieces[i](v), -u if i else u) for i, v, u in zip(k, x, t.tolist())]
+        return np.array(d), s
     x = np.abs(t)
     np.minimum(x, ERFC_ZERO, out=x)
     near, mid = x < ERF_NEAR, x < ERFC_FAR
-    for piece, at in ((_erf_near, near), (_erfc_mid, near ^ mid), (_erfc_far, ~mid)):
+    for piece, at in zip(pieces, (near, near ^ mid, ~mid)):
         if at.any():
             x[at] = piece(x[at])  # x becomes erf near 0 and erfc beyond
     np.copysign(x, t, out=x)
     np.negative(x, out=x, where=~near)
-    return x, np.copysign(~near, t)
+    return x, s
 
 
 class EntropyUnit(str, Enum):
@@ -536,7 +526,7 @@ def renormalize(probs, tolerance: float = DEFAULT_TOLERANCE) -> DiscreteDistribu
     try:
         total = row_fsum(arr)
     except OverflowError:
-        arr = _scaled_down(arr)[0]
+        arr = _scaled_down(arr, arr.size.bit_length())
         total = row_fsum(arr)
     if total <= 0:
         raise NotNormalized("cannot renormalize: total mass is zero")
@@ -688,12 +678,11 @@ def row_fsum(x: np.ndarray) -> float:
     return float(segment_fsums(x, np.array([0, x.size]))[0])
 
 
-def _scaled_down(row: np.ndarray) -> tuple[np.ndarray, int]:
-    """(row * 2^-s, s) with 2^s > n: a sum of the row that passes the
-    largest double comes back in range, and every entry large enough to
-    matter is scaled exactly."""
-    s = row.size.bit_length()
-    return np.ldexp(row, -s), s
+def _scaled_down(row: np.ndarray, s: int) -> np.ndarray:
+    """row * 2^-s, with 2^s > n where s = n.bit_length(): a row sum that
+    passes the largest double comes back in range, and every entry large
+    enough to matter is scaled exactly."""
+    return np.ldexp(row, -s)
 
 
 def _scaled_fsum(row: np.ndarray) -> float:
@@ -702,8 +691,8 @@ def _scaled_fsum(row: np.ndarray) -> float:
     try:
         return _fsum(row)
     except OverflowError:
-        scaled, s = _scaled_down(row)
-        return _fsum(scaled) * 2.0**s
+        s = row.size.bit_length()
+        return _fsum(_scaled_down(row, s)) * 2.0**s
 
 
 def fsum_decides(flat: np.ndarray, offsets: np.ndarray, *predicates) -> np.ndarray:

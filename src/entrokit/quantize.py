@@ -9,8 +9,9 @@ Both choices leave the h -> 0 limit untouched; the second keeps symmetric
 densities symmetric about a bin center instead of an edge.
 
 Bin masses are closed-form tail differences, each taken on its small side
-(see DensitySpec.bin_masses).  A grid holds at most MAX_ROW bins, checked
-before any of it is computed.
+(see DensitySpec.bin_masses); a gaussian's come from one numpy pass over
+every edge of a block (distributions.erf_split).  A grid holds at most
+MAX_ROW bins, checked before any of it is computed.
 
 The grids of a sweep are the rows of a block (distributions' ragged
 blocks), as the axiom suites' draws are: consecutive widths are grouped
@@ -125,26 +126,23 @@ def _grid(f: DensitySpec, h: float) -> tuple[float, float, int]:
 def _grid_points(x0, s, h, offsets: np.ndarray, t0: float) -> np.ndarray:
     """The points (x0 + s h) + h t of a block of grids, one row per grid
     (x0, s, h) with t = t0, t0 + 1, ... along the row: t is one float arange
-    less the row offsets, exact, and the points are formed in place on it.
-    A point that is not finite is formed again at a quarter of the scale,
-    which is exact, and scaled back: that keeps a point finite where s h or
-    h t overflows on the way to it, and a point beyond the float range is
-    +-inf, as bin_masses reads it (where s h and h t are finite, a sum that
-    overflows overflows at the quarter scale too)."""
+    less the repeated row offsets, which is exact, and the points are formed
+    in place as repeat(h) t + repeat(x0 + s h).  A point that is not finite
+    is formed again at a quarter of the scale, which is exact, and scaled
+    back: that keeps a point finite where s h or h t overflows on the way to
+    it, and a point beyond the float range is +-inf, as bin_masses reads it
+    (where s h and h t are finite, a sum that overflows overflows at the
+    quarter scale too)."""
     n = np.diff(offsets)
-
-    def points(scale: float) -> np.ndarray:
-        x = np.arange(float(offsets[-1]))
-        x -= np.repeat(offsets[:-1] - t0, n)
-        x *= np.repeat(scale * h, n)
-        x += np.repeat(scale * x0 + s * (scale * h), n)
-        return x
-
+    t = np.arange(float(offsets[-1]))
+    t -= np.repeat(offsets[:-1] - t0, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = points(1.0)
+        x = np.repeat(h, n)
+        x *= t
+        x += np.repeat(x0 + s * h, n)
         if np.isfinite(x).all():
             return x
-        quarter = 4.0 * points(0.25)
+        quarter = 4.0 * (np.repeat(0.25 * x0 + s * (0.25 * h), n) + np.repeat(0.25 * h, n) * t)
     return np.where(np.isfinite(x), x, quarter)
 
 
