@@ -438,12 +438,15 @@ def erf_split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     points; a few points go one by one as floats, cheaper than numpy calls,
     with the same bits.  NaN stays NaN."""
     pieces = (_erf_near, _erfc_mid, _erfc_far)
-    s = np.subtract((t >= ERF_NEAR).view(np.int8), (t <= -ERF_NEAR).view(np.int8))
     if t.size <= 4:
-        x = [min(abs(v), ERFC_ZERO) for v in t.tolist()]
-        k = [(v >= ERF_NEAR) + (v >= ERFC_FAR) + (v != v) for v in x]  # NaN is not near
-        d = [math.copysign(pieces[i](v), -u if i else u) for i, v, u in zip(k, x, t.tolist())]
-        return np.array(d), s
+        d, s = [], []
+        for w in t.tolist():
+            x = min(abs(w), ERFC_ZERO)
+            i = (x >= ERF_NEAR) + (x >= ERFC_FAR) + (x != x)  # NaN is not near
+            d.append(math.copysign(pieces[i](x), -w if i else w))
+            s.append((w >= ERF_NEAR) - (w <= -ERF_NEAR))
+        return np.array(d), np.array(s, dtype=np.int8)
+    s = np.subtract((t >= ERF_NEAR).view(np.int8), (t <= -ERF_NEAR).view(np.int8))
     x = np.abs(t)
     np.minimum(x, ERFC_ZERO, out=x)
     near, mid = x < ERF_NEAR, x < ERFC_FAR
@@ -526,7 +529,7 @@ def renormalize(probs, tolerance: float = DEFAULT_TOLERANCE) -> DiscreteDistribu
     try:
         total = row_fsum(arr)
     except OverflowError:
-        arr = _scaled_down(arr, arr.size.bit_length())
+        arr = _scaled_down(arr)[0]
         total = row_fsum(arr)
     if total <= 0:
         raise NotNormalized("cannot renormalize: total mass is zero")
@@ -678,11 +681,12 @@ def row_fsum(x: np.ndarray) -> float:
     return float(segment_fsums(x, np.array([0, x.size]))[0])
 
 
-def _scaled_down(row: np.ndarray, s: int) -> np.ndarray:
-    """row * 2^-s, with 2^s > n where s = n.bit_length(): a row sum that
-    passes the largest double comes back in range, and every entry large
-    enough to matter is scaled exactly."""
-    return np.ldexp(row, -s)
+def _scaled_down(row: np.ndarray) -> tuple[np.ndarray, int]:
+    """(row * 2^-s, s) with 2^s > n: a row sum that passes the largest
+    double comes back in range, and every entry large enough to matter is
+    scaled exactly."""
+    s = row.size.bit_length()
+    return np.ldexp(row, -s), s
 
 
 def _scaled_fsum(row: np.ndarray) -> float:
@@ -691,8 +695,8 @@ def _scaled_fsum(row: np.ndarray) -> float:
     try:
         return _fsum(row)
     except OverflowError:
-        s = row.size.bit_length()
-        return _fsum(_scaled_down(row, s)) * 2.0**s
+        scaled, s = _scaled_down(row)
+        return _fsum(scaled) * 2.0**s
 
 
 def fsum_decides(flat: np.ndarray, offsets: np.ndarray, *predicates) -> np.ndarray:
