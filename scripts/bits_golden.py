@@ -9,9 +9,13 @@ acceptance criterion 11 (whose stdout is also stored in full), the 360
 `cli_oneshot` ops that `bench/gen.py` writes at seeds 1-3, and a list of
 edge cases.  It also holds the sha256 of the `quantize_fine` sweep rows at
 seed 20261017, one digest per density family, and of a corpus of Shannon,
-total and shell entropies.  `tests/test_bits_golden.py` checks the current
-code against it entry by entry; a deliberate change of bits regenerates it
-and lists every moved entry.
+total and shell entropies.  For a few seeds and size settings it holds the
+compact JSON bytes of `run_axiom_suite(...).to_json_obj()`, exactly as the
+CLI prints them, and for a grid of cell counts m and phase-cell constants C
+the entropy and verdict of `maxent_shell_check`.
+`tests/test_bits_golden.py` checks the current code against it entry by
+entry; a deliberate change of bits regenerates it and lists every moved
+entry.
 
 The package is imported from the `src/` of the checkout given, so the
 corpus of any commit can be written and compared with another's:
@@ -24,6 +28,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -77,9 +82,28 @@ EDGE_CASES = [
     ["statmech", "ideal-gas", "--E", "150", "--dE", "1500", "--V", "1000", "--N", "100"],
     ["statmech", "compare", "--E", "150", "--dE", "1.5", "--V", "1000", "--N", "1000",
      "--planck-h", "0.1"],
+    ["statmech", "compare", "--E", "150", "--dE", "1.5", "--V", "1000", "--N", "100",
+     "--planck-h", "2", "--indistinguishable"],
+    # a negative value in exponent form is read as a value only after "="
+    ["statmech", "compare", "--E", "150", "--dE", "1.5", "--V", "1000", "--N", "100",
+     "--planck-h", "2", "--ln-omega=-1e5"],
 ]
 VARIANTS = ([], ["--k", "2.5"], ["--unit", "bits"])
 SWEEP_SEED = 20261017
+SEEDS = (0, 7, 20261017, 538864902)
+SUITE_SIZES = {
+    "defaults": {},
+    "criterion_11": {"n_distributions": 400, "additivity_pairs": 50, "majorization_pairs": 50},
+    "max_n_8_bits": {"max_n": 8, "k": 1.0 / math.log(2.0)},
+    "max_n_200": {"max_n": 200, "n_distributions": 2000, "additivity_pairs": 100,
+                  "majorization_pairs": 200},
+    # few enough pairs that no drawn row of one element pins the extremes
+    # at 0.0 for these seeds, so these reports change with the draws
+    "unsaturated": {"n_distributions": 20, "additivity_pairs": 5, "majorization_pairs": 5},
+}
+MAXENT_CELLS = (1, 4, 64, 1024, 4096)
+MAXENT_C = (0.3, 1.0, 3.0)
+MAXENT_TRIALS = 200
 
 
 def _sha(text: str) -> str:
@@ -131,6 +155,30 @@ def _entropies() -> dict:
     return out
 
 
+def _suites() -> list:
+    from entrokit import run_axiom_suite
+
+    return [{"name": name, "seed": seed, "sizes": sizes,
+             "report": json.dumps(run_axiom_suite(seed, **sizes).to_json_obj(),
+                                  separators=(",", ":"))}
+            for name, sizes in SUITE_SIZES.items() for seed in SEEDS]
+
+
+def _maxent() -> list:
+    import numpy as np
+    from entrokit import DiscretizedShellDensity, maxent_shell_check
+
+    out = []
+    for m in MAXENT_CELLS:
+        # unequal cells, so the uniform density is not the constant vector
+        d = DiscretizedShellDensity.uniform(np.random.default_rng(m).uniform(0.5, 2.0, m))
+        for c in MAXENT_C:
+            report = maxent_shell_check(d, C=c, trials=MAXENT_TRIALS, seed=1000 + m)
+            out.append({"m": m, "C": c, "trials": MAXENT_TRIALS, "seed": 1000 + m,
+                        "entropy": report.entropy, "is_maximal": report.is_maximal})
+    return out
+
+
 def corpus() -> dict:
     from entrokit import convergence_sweep, density_from_json
 
@@ -152,7 +200,8 @@ def corpus() -> dict:
                                               r.abs_error)]
         rows.setdefault(op["spec"]["family"], []).extend(fields)
     sweeps = {family: _digest(values) for family, values in sorted(rows.items())}
-    return {"argv": argv, "stdout": stdout, "sweeps": sweeps, "entropies": _entropies()}
+    return {"argv": argv, "stdout": stdout, "sweeps": sweeps, "entropies": _entropies(),
+            "suites": _suites(), "maxent": _maxent()}
 
 
 def main() -> None:

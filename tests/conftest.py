@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,6 +11,19 @@ from hypothesis import strategies as st
 
 from entrokit import DensityFamily, DiscreteDistribution
 from entrokit.distributions import FSUM_ELEMENTS, offsets_of
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def bits_corpus():
+    """The bits corpus as `scripts/bits_golden.py` computes it from the
+    current code, computed once per test run."""
+    spec = importlib.util.spec_from_file_location("bits_golden", ROOT / "scripts" / "bits_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.corpus()
 
 
 def ragged(rows):
