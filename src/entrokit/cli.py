@@ -114,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
         a.add_argument("--N", type=int, required=True)
         a.add_argument("--mass", type=float, default=1.0)
         a.add_argument("--planck-h", type=float, default=1.0)
-        a.add_argument("--indistinguishable", action="store_true")
+        if action == "ideal-gas":
+            a.add_argument("--indistinguishable", action="store_true")
         _add_unit_flags(a)
         if action == "compare":
             a.add_argument(
@@ -243,7 +244,8 @@ def _cmd_statmech(ns: argparse.Namespace) -> dict:
         N=ns.N,
         m=ns.mass,
         planck_h=ns.planck_h,
-        indistinguishable=ns.indistinguishable,
+        # compare reads only ln Omega, h and N, so it takes no particle statistics
+        indistinguishable=getattr(ns, "indistinguishable", True),
     )
     k = _k(ns)
     if ns.action == "compare":
