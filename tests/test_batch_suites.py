@@ -1,17 +1,15 @@
 """The block-batched axiom and max-entropy suites: their draws against
-per-row references, their outputs against a golden corpus, and their
-memory against a fixed ceiling.
+per-row references, and their memory against a fixed ceiling.
 
-The corpus is written by `scripts/axiom_golden.py`; run it on a checkout to
-see that checkout's outputs.
+Their outputs are pinned by the `suites` and `maxent` sections of the bits
+corpus (`tests/test_bits_golden.py`); the two per-case tests here read
+those sections from the one computation of the corpus per test run.
 """
 
 import io
 import json
 import math
 import re
-import subprocess
-import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -38,8 +36,7 @@ from entrokit.distributions import BLOCK_ELEMENTS, offsets_of
 from conftest import peak_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
-GOLDEN_PATH = ROOT / "tests" / "data" / "axiom_golden.json"
-GOLDEN = json.loads(GOLDEN_PATH.read_text())
+GOLDEN = json.loads((ROOT / "tests" / "data" / "bits_golden.json").read_text())
 
 # Blocks hold about 16,384 elements, so a default suite and a 4,096-cell
 # max-entropy check peak near 1.4 and 0.8 MiB; a batch over a whole phase at
@@ -112,31 +109,21 @@ def test_blocks_hold_at_most_block_elements_unless_one_pair(sizes, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "case", GOLDEN["suites"], ids=[f"{c['name']}-{c['seed']}" for c in GOLDEN["suites"]]
+    "i", range(len(GOLDEN["suites"])), ids=[f"{c['name']}-{c['seed']}" for c in GOLDEN["suites"]]
 )
-def test_suite_report_bytes(case):
-    report = run_axiom_suite(case["seed"], **case["sizes"])
-    assert json.dumps(report.to_json_obj(), separators=(",", ":")) == case["report"]
+def test_suite_report_bytes(i, bits_corpus):
+    assert bits_corpus["suites"][i] == GOLDEN["suites"][i]
+
+
+@pytest.mark.parametrize(
+    "i", range(len(GOLDEN["maxent"])), ids=[f"m{c['m']}-C{c['C']}" for c in GOLDEN["maxent"]]
+)
+def test_maxent_results(i, bits_corpus):
+    assert bits_corpus["maxent"][i] == GOLDEN["maxent"][i]
 
 
 def _cells(m):
     return DiscretizedShellDensity.uniform(np.random.default_rng(m).uniform(0.5, 2.0, m))
-
-
-@pytest.mark.parametrize(
-    "case", GOLDEN["maxent"], ids=[f"m{c['m']}-C{c['C']}" for c in GOLDEN["maxent"]]
-)
-def test_maxent_results(case):
-    report = maxent_shell_check(_cells(case["m"]), C=case["C"], trials=case["trials"],
-                                seed=case["seed"])
-    assert (report.entropy, report.is_maximal) == (case["entropy"], case["is_maximal"])
-
-
-def test_golden_script_writes_the_corpus(tmp_path):
-    out = tmp_path / "g.json"
-    subprocess.run([sys.executable, str(ROOT / "scripts" / "axiom_golden.py"), "--out", str(out)],
-                   check=True, capture_output=True)
-    assert out.read_bytes() == GOLDEN_PATH.read_bytes()
 
 
 def _trials(d, trials, seed):
