@@ -84,7 +84,7 @@ EDGE_CASES = [
      "--planck-h", "0.1"],
     ["statmech", "compare", "--E", "150", "--dE", "1.5", "--V", "1000", "--N", "100",
      "--planck-h", "2", "--indistinguishable"],
-    # a negative value in exponent form is read as a value only after "="
+    # after a space, argparse may read -1e5 as an option; after "=" it is a value
     ["statmech", "compare", "--E", "150", "--dE", "1.5", "--V", "1000", "--N", "100",
      "--planck-h", "2", "--ln-omega=-1e5"],
 ]

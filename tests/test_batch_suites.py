@@ -115,15 +115,15 @@ def test_suite_report_bytes(i, bits_corpus):
     assert bits_corpus["suites"][i] == GOLDEN["suites"][i]
 
 
+def _cells(m):
+    return DiscretizedShellDensity.uniform(np.random.default_rng(m).uniform(0.5, 2.0, m))
+
+
 @pytest.mark.parametrize(
     "i", range(len(GOLDEN["maxent"])), ids=[f"m{c['m']}-C{c['C']}" for c in GOLDEN["maxent"]]
 )
 def test_maxent_results(i, bits_corpus):
     assert bits_corpus["maxent"][i] == GOLDEN["maxent"][i]
-
-
-def _cells(m):
-    return DiscretizedShellDensity.uniform(np.random.default_rng(m).uniform(0.5, 2.0, m))
 
 
 def _trials(d, trials, seed):
