@@ -635,10 +635,11 @@ def segment_fsums(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     exact in whatever order it adds, and the row sum is s + sum(r).  The
     candidate is c = s + np.sum(r); with err, the exact rounding error of
     that addition (TwoSum), the row sum lies within err +- b of c, where b
-    bounds the rounding of np.sum(r) (_sum_error_bound).  The candidate is
-    kept when that interval lies strictly inside the half-gaps to c's
-    neighbours, so that c is the one correctly rounded sum, or when every
-    r is 0, so that c = s is; in both cases c is fsum's value.
+    bounds the rounding of np.sum(r) (_sum_error_bound).  Each |r| is at
+    most ulp(sigma) / 2 = 2^(top - 53), so b is taken at sum|r| <= n
+    2^(top - 53), which costs no pass over the row.  The candidate is kept
+    when that interval lies strictly inside the half-gaps to c's
+    neighbours, so that c is the one correctly rounded sum: fsum's value.
 
     Every other row goes to math.fsum: a row that is not certified (as no
     row whose exact sum lies on a rounding midpoint can be), holds a
@@ -656,20 +657,19 @@ def segment_fsums(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         sigma = np.repeat(np.ldexp(1.0, top), n)
         q = np.add(sigma, flat)
         q -= sigma
-        # a row may be long: r, then |r|, take the storage of sigma, then of q
+        # a row may be long: r takes the storage of sigma
         r = np.subtract(flat, q, out=sigma)
         s = np.add.reduceat(q, starts)
         rest = np.add.reduceat(r, starts)
-        size = np.add.reduceat(np.abs(r, out=q), starts)
         c = s + rest
         # TwoSum: err = s + rest - c exactly
         v = c - s
         err = (s - (c - v)) + (rest - v)
-        band = _sum_error_bound(n, size)
+        band = _sum_error_bound(n, np.ldexp(n, top - 53))
         # a generous margin for the rounding of band and of err + band
         half_up = 0.5 * (np.nextafter(c, math.inf) - c) * (1.0 - 2.0**-40)
         half_down = 0.5 * (c - np.nextafter(c, -math.inf)) * (1.0 - 2.0**-40)
-        certified = (size == 0.0) | ((err + band < half_up) & (band - err < half_down))
+        certified = (err + band < half_up) & (band - err < half_down)
         certified &= (top <= EXTRACT_MAX_EXP) & (np.abs(c) >= 2.0**EXTRACT_MIN_EXP)
     for i in np.flatnonzero(~certified):
         c[i] = _fsum(flat[offsets[i] : offsets[i + 1]])
@@ -704,14 +704,16 @@ def fsum_decides(flat: np.ndarray, offsets: np.ndarray, *predicates) -> np.ndarr
     predicate maps an array of row sums to bools and must be monotone in
     each sum.
 
-    One np.sum pass gives each row sum to within _sum_error_bound.  Each
-    predicate is taken at both ends of that interval, and only a row where
-    the ends disagree, because its sum lies within the band of a threshold,
-    is summed again by fsum.  So the answer is always fsum's.  A row whose
-    partial sums leave the float range, where fsum raises, is summed at
-    2^-s with 2^s > n and scaled back, as renormalize scales: to +-inf
-    where the sum itself overflows, which every finite threshold decides
-    as it would the exact sum.
+    One np.sum pass gives each row sum to within _sum_error_bound of
+    sum|x|, which in a block with no negative entry is that pass itself: only
+    a block with a negative or a nan entry takes |x| in a pass of its own.
+    Each predicate is taken at both ends of that interval, and only a row
+    where the ends disagree, because its sum lies within the band of a
+    threshold, is summed again by fsum.  So the answer is always fsum's.  A
+    row whose partial sums leave the float range, where fsum raises, is
+    summed at 2^-s with 2^s > n and scaled back, as renormalize scales: to
+    +-inf where the sum itself overflows, which every finite threshold
+    decides as it would the exact sum.
 
     On a block of 16,384 elements, in rows of 4 to 4,096, this pass costs
     a sixth to a third of an exact segment_fsums, and the band holds few
@@ -723,7 +725,8 @@ def fsum_decides(flat: np.ndarray, offsets: np.ndarray, *predicates) -> np.ndarr
     starts = offsets[:-1]
     with np.errstate(invalid="ignore", over="ignore"):  # such rows fall back
         sums = np.add.reduceat(flat, starts)
-        band = _sum_error_bound(offsets[1:] - starts, np.add.reduceat(np.abs(flat), starts))
+        size = sums if flat.min() >= 0 else np.add.reduceat(np.abs(flat), starts)
+        band = _sum_error_bound(offsets[1:] - starts, size)
         lo, hi = sums - band, sums + band
     decided = np.ones(sums.size, dtype=bool)
     unsure = ~np.isfinite(hi - lo)
@@ -752,7 +755,10 @@ def normalized_rows(flat: np.ndarray, offsets: np.ndarray, tolerance) -> np.ndar
 def probability_rows_ok(flat: np.ndarray, offsets: np.ndarray, tolerance) -> np.ndarray:
     """The one decision of a probability vector, for every row of a block:
     finite, nonnegative and |fsum(row) - 1| <= tolerance (a scalar or one
-    per row)."""
+    per row).  The entries are tested one by one only in a block whose min
+    or max fails, as a nan makes both fail."""
+    if flat.min() >= 0 and flat.max() < math.inf:
+        return normalized_rows(flat, offsets, tolerance)
     good = np.isfinite(flat)
     good &= flat >= 0
     ok = np.logical_and.reduceat(good, offsets[:-1])

@@ -44,8 +44,12 @@ def entropy_terms(flat: np.ndarray, log_h=0.0) -> np.ndarray:
     """-p (ln p - ln h) for every entry p, shaped like flat and 0 where p = 0, with ln h
     a scalar (0 for Shannon) or an array that broadcasts to flat's shape: total
     entropy's terms (section 3).  A block's terms keep the block's offsets.
-    Formed in the log's output array: -(p x) is (-p) x exactly."""
-    terms = np.log(flat, out=np.zeros_like(flat), where=flat > 0)
+    Formed in the log's output array: -(p x) is (-p) x exactly.  Only a
+    block that may hold a zero (or a nan) masks its log."""
+    if flat.min(initial=math.inf) > 0:  # an empty block has no zero either
+        terms = np.log(flat)
+    else:
+        terms = np.log(flat, out=np.zeros_like(flat), where=flat > 0)
     terms -= log_h
     terms *= flat
     return np.negative(terms, out=terms)
@@ -374,12 +378,15 @@ def run_axiom_suite(
                              lambda s: s[0] + s[1] + s[0] * s[1]):
         offsets = offsets_of(np.concatenate((n, m, n * m)))
         pq = simplex_rows(rng, offsets[: 2 * n.size + 1])
-        nm = n * m
-        # entry (j, a) of joint row r is p_j q_a
-        j, a = np.divmod(positions_of(offsets[2 * n.size :]), np.repeat(m, nm))
-        j += np.repeat(offsets[: n.size], nm)
-        a += np.repeat(offsets[n.size : 2 * n.size], nm)
-        flat = np.concatenate((pq, pq[j]))
+        # joint row r is p_j q_a for each p_j of pair r in turn, and each q_a:
+        # every p_j repeated, times q's row read through a running index a
+        # that steps by 1 and jumps back from the last q_a to the first
+        width = np.repeat(m, n)
+        start = np.repeat(offsets[n.size : 2 * n.size], n)
+        a = np.ones(width.sum(), dtype=np.intp)
+        a[offsets_of(width)[:-1]] = start - np.concatenate(([0], start[:-1] + width[:-1] - 1))
+        np.cumsum(a, out=a)
+        flat = np.concatenate((pq, np.repeat(pq[: start.size], width)))
         flat[pq.size :] *= pq[a]
         tol = np.full(3 * n.size, DEFAULT_TOLERANCE)
         tol[2 * n.size :] = product_tolerance(DEFAULT_TOLERANCE, n + m)

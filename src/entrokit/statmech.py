@@ -89,7 +89,7 @@ class ShellSpec:
                 f"shell thickness dE/E = {self.dE / self.E:.3g} is not small; "
                 "shell-volume results lose their thin-shell meaning",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the __init__ that dataclass generates, to its caller
             )
 
 

@@ -20,6 +20,9 @@ from entrokit import (
     InvalidDensity,
     NotNormalized,
     ValidationError,
+    distributions,
+    maxent_shell_check,
+    run_axiom_suite,
     shannon_entropy,
     total_entropy,
 )
@@ -151,6 +154,28 @@ class TestSegmentFsums:
             got = segment_fsums(flat, offsets).tolist()
         assert got == [1.0, 1.0 + 2.0**-52, 1.0, 0.0, 1.0, 3.0]
         assert called == rows_[1:5]
+
+
+def test_the_suites_certify_as_many_rows_as_before(monkeypatch):
+    """The rows that segment_fsums and fsum_decides hand to fsum in a
+    default axiom suite and in two max-entropy checks, counted.  The values
+    are fsum's on either path, so a looser bound that certified fewer rows
+    would only show here, as time lost."""
+    fsum = distributions._fsum
+    calls = []
+
+    def counted(row):
+        calls.append(row.size)
+        return fsum(row)
+
+    cells = [DiscretizedShellDensity.uniform(np.random.default_rng(m).uniform(0.5, 2.0, m))
+             for m in (64, 4096)]
+    monkeypatch.setattr(distributions, "_fsum", counted)
+    run_axiom_suite(0)
+    suite = len(calls)
+    for d in cells:
+        maxent_shell_check(d, 1.0, trials=1000)
+    assert (suite, len(calls) - suite) == (889, 4)
 
 
 class TestSumsBeyondTheFloatRange:

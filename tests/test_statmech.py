@@ -99,6 +99,12 @@ class TestShellSpec:
         with pytest.warns(RuntimeWarning, match="thickness"):
             ShellSpec(E=1.0, dE=0.5, V=1.0, N=1)
 
+    def test_thick_shell_warning_names_its_caller(self):
+        with pytest.warns(RuntimeWarning, match="thickness") as record:
+            ShellSpec(E=1.0, dE=1.0, V=1.0, N=1)
+        (w,) = record
+        assert w.filename == __file__
+
     def test_thick_shell_warning_stays_short(self):
         # dE/E = 1e304 prints in three significant digits, not 305 fixed ones
         with pytest.warns(RuntimeWarning) as record:
