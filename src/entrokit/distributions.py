@@ -562,17 +562,19 @@ def product_distribution(
 # A block is one flat array holding rows end to end, with row i at
 # flat[offsets[i]:offsets[i + 1]].  No row is empty: np.add.reduceat would
 # read an empty row as the element at its offset.  Values that reach a
-# report are exact row sums, math.fsum's bits, from segment_fsums: a few
-# numpy passes over the whole block, with fsum itself only for the rows
-# those passes cannot certify.  Pass/fail decisions take one cheaper np.sum
-# pass and fall back to fsum only for rows too close to the threshold to
-# tell.
+# report are exact row sums, math.fsum's bits, from segment_fsums;
+# pass/fail decisions come from fsum_decides.  Both follow one rule: a few
+# numpy passes over the whole block give each row an interval that holds
+# its exact sum, the answer is taken at both ends, and only a row whose
+# ends disagree is summed again by fsum.  An exact sum's ends are its
+# error-free part plus its residual's np.sum, plus and minus that sum's
+# band; a decision's ends are one cheaper np.sum plus and minus its band.
 
 # The certified sum leaves to fsum a row whose extraction constant
 # 2^(ceil log2(n + 2)) * 2^e (max|x| < 2^e) would pass 2^EXTRACT_MAX_EXP, so
 # that nothing it forms can overflow, and a row whose sum is below
-# 2^EXTRACT_MIN_EXP in size, so that its error bound and the gaps between
-# doubles next to the sum are normal numbers.
+# 2^EXTRACT_MIN_EXP in size, so that its error band is far above the
+# underflow threshold.
 EXTRACT_MAX_EXP = 1020
 EXTRACT_MIN_EXP = -960
 
@@ -582,11 +584,6 @@ def offsets_of(sizes) -> np.ndarray:
     offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
     np.cumsum(sizes, out=offsets[1:])
     return offsets
-
-
-def positions_of(offsets: np.ndarray) -> np.ndarray:
-    """The position of every element of a block within its row."""
-    return np.arange(offsets[0], offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
 
 
 def row_blocks(sizes):
@@ -632,21 +629,24 @@ def segment_fsums(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     q = (sigma + x) - sigma is x cut to a multiple of ulp(sigma) / 2, and
     r = x - q is exact.  Every partial sum of the q of a row is such a
     multiple no larger than n 2^e <= sigma, so s = np.add.reduceat(q) is
-    exact in whatever order it adds, and the row sum is s + sum(r).  The
-    candidate is c = s + np.sum(r); with err, the exact rounding error of
-    that addition (TwoSum), the row sum lies within err +- b of c, where b
-    bounds the rounding of np.sum(r) (_sum_error_bound).  Each |r| is at
-    most ulp(sigma) / 2 = 2^(top - 53), so b is taken at sum|r| <= n
-    2^(top - 53), which costs no pass over the row.  The candidate is kept
-    when that interval lies strictly inside the half-gaps to c's
-    neighbours, so that c is the one correctly rounded sum: fsum's value.
+    exact in whatever order it adds, and the row sum is S = s + sum(r).
+    With sigma = 2^top, each |r| is at most 2^(top - 53), so rest = np.sum(r)
+    is within B of sum(r), and band = _sum_error_bound(n, n 2^(top - 53)),
+    about 2 n^2 u 2^(top - 53) with u = 2^-53, costs no pass.  The row is
+    certified where s + (rest + band) and s + (rest - band) round to one
+    double.  Before that last rounding the two ends enclose S: rest +- band
+    rounds by at most u (|rest| + band), about n u 2^(top - 53), and band - B
+    exceeds that, as B <= (n - 1) u n 2^(top - 53) / (1 - (n - 1) u) for
+    n >= 2 (Higham), and B = 0 for n = 1, where np.sum of one element is
+    exact.  Round-to-nearest is monotone, so S rounds to that one double
+    too, ties to even included: fsum's value.
 
-    Every other row goes to math.fsum: a row that is not certified (as no
-    row whose exact sum lies on a rounding midpoint can be), holds a
-    non-finite entry, has an extraction constant beyond 2^EXTRACT_MAX_EXP,
-    or a sum of size below 2^EXTRACT_MIN_EXP, zero included (which keeps
-    fsum's sign of zero).  So every value, and every error fsum raises, is
-    fsum's.  A block of at most FSUM_ELEMENTS elements goes to fsum row by row."""
+    Every other row goes to math.fsum: a row whose ends differ (as they do
+    where S lies on a rounding midpoint), that holds a non-finite entry, has
+    an extraction constant beyond 2^EXTRACT_MAX_EXP, or a sum of size below
+    2^EXTRACT_MIN_EXP, zero included (which keeps fsum's sign of zero).  So
+    every value, and every error fsum raises, is fsum's.  A block of at most
+    FSUM_ELEMENTS elements goes to fsum row by row."""
     if flat.size <= FSUM_ELEMENTS:
         return np.array([_fsum(row) for row in _rows(flat, offsets)])
     n = offsets[1:] - offsets[:-1]
@@ -661,15 +661,9 @@ def segment_fsums(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         r = np.subtract(flat, q, out=sigma)
         s = np.add.reduceat(q, starts)
         rest = np.add.reduceat(r, starts)
-        c = s + rest
-        # TwoSum: err = s + rest - c exactly
-        v = c - s
-        err = (s - (c - v)) + (rest - v)
         band = _sum_error_bound(n, np.ldexp(n, top - 53))
-        # a generous margin for the rounding of band and of err + band
-        half_up = 0.5 * (np.nextafter(c, math.inf) - c) * (1.0 - 2.0**-40)
-        half_down = 0.5 * (c - np.nextafter(c, -math.inf)) * (1.0 - 2.0**-40)
-        certified = (err + band < half_up) & (band - err < half_down)
+        c = s + (rest + band)
+        certified = c == s + (rest - band)
         certified &= (top <= EXTRACT_MAX_EXP) & (np.abs(c) >= 2.0**EXTRACT_MIN_EXP)
     for i in np.flatnonzero(~certified):
         c[i] = _fsum(flat[offsets[i] : offsets[i + 1]])
@@ -715,9 +709,10 @@ def fsum_decides(flat: np.ndarray, offsets: np.ndarray, *predicates) -> np.ndarr
     +-inf where the sum itself overflows, which every finite threshold
     decides as it would the exact sum.
 
-    On a block of 16,384 elements, in rows of 4 to 4,096, this pass costs
-    a sixth to a third of an exact segment_fsums, and the band holds few
-    rows, so decisions do not take exact sums.  A block of at most
+    On a block of 16,384 elements, in rows of 16 to 4,096, this pass costs
+    about a third of an exact segment_fsums (an eighth in rows of 4, where
+    exact ties send one row in eight to fsum), and the band holds few rows,
+    so decisions do not take exact sums.  A block of at most
     FSUM_ELEMENTS elements is summed by fsum row by row."""
     if flat.size <= FSUM_ELEMENTS:
         exact = np.array([_scaled_fsum(row) for row in _rows(flat, offsets)])

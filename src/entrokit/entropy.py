@@ -27,7 +27,6 @@ from .distributions import (
     check_probability_rows,
     check_real,
     offsets_of,
-    positions_of,
     product_distribution,
     product_tolerance,
     row_blocks,
@@ -271,7 +270,7 @@ def _padded(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """The rows of a block as a zero-padded 2-D array."""
     n = np.diff(offsets)
     out = np.zeros((n.size, n.max()))
-    out[np.repeat(np.arange(n.size), n), positions_of(offsets)] = flat
+    out[np.arange(n.max()) < n[:, None]] = flat
     return out
 
 

@@ -93,14 +93,13 @@ class ShellSpec:
             )
 
 
-def log_phase_ball_volume(spec: ShellSpec, energy: float | None = None) -> float:
-    """ln Phi(E): log phase-space volume below the given energy."""
-    e = spec.E if energy is None else check_positive(energy, "energy")
+def log_phase_ball_volume(spec: ShellSpec) -> float:
+    """ln Phi(E): log phase-space volume below the shell's energy."""
     n = spec.N
     # 2 pi m E over- or underflows (m = E = 1e200, or 1e-200) where its log
     # does not, so it is formed as a mantissa product times 2^e, as
     # sackur_tetrode_entropy forms its bracket
-    (fm, em), (fe, ee) = math.frexp(spec.m), math.frexp(e)
+    (fm, em), (fe, ee) = math.frexp(spec.m), math.frexp(spec.E)
     ln_2pi_m_e = math.log(2.0 * math.pi * fm * fe) + (em + ee) * LN2
     return n * math.log(spec.V) + 1.5 * n * ln_2pi_m_e - math.lgamma(1.5 * n + 1.0)
 
@@ -265,13 +264,12 @@ def maxent_shell_check(
     check_count(trials, "trials", 1)
     check_count(seed, "seed", 0)
     entropy = shell_entropy(d, C, k)
-    uniform = DiscretizedShellDensity.uniform(d.cell_volumes)
-    threshold = shell_entropy(uniform, C).value + MAXENT_SLACK  # in nats
-    draws, weights = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     w = d.cell_volumes
     m = w.size
-    u = _cell_masses(w, uniform.densities)
+    u = _cell_masses(w, DiscretizedShellDensity.uniform(w).densities)
     log_h = _log_widths(w, C)
+    threshold = entropy_rows(u, np.array([0, m]), log_h)[0] + MAXENT_SLACK  # in nats
+    draws, weights = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     per_block = max(1, BLOCK_ELEMENTS // m)
     for first in range(0, trials, per_block):
         rows = min(per_block, trials - first)

@@ -105,6 +105,15 @@ class TestRunOutputs:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(math.log(2.0), abs=1e-15)
 
+    @pytest.mark.parametrize("probs, error", [
+        ("[-1,2]", {"kind": "NegativeProbability", "message": "negative probability entry -1.0"}),
+        ("[0,0]", {"kind": "NotNormalized", "message": "cannot renormalize: total mass is zero"}),
+    ])
+    def test_renormalize_refuses(self, probs, error):
+        code, out, _ = invoke(["discrete", "--probs", probs, "--renormalize"])
+        assert code == 65
+        assert strict_json(out)["error"] == error
+
     def test_renormalize_overflowing_weights(self):
         # the weights sum past the largest double
         code, out, _ = invoke(["discrete", "--probs", "[1e308,1e308]", "--renormalize"])
@@ -361,6 +370,9 @@ BAD_VALUES = {
     "axioms-n-dists-3": ["axioms", "--n-dists", "3"],
     "ideal-gas-N-1e400": [*IDEAL_GAS, "--N", "1" + "0" * 400],
     "compare-N-1e400": [*COMPARE[:-2], "--N", "1" + "0" * 400],
+    # fit-phi's CSV: a header and a blank line only, and a word after the header
+    "fit-phi-no-data-rows": ["fit-phi", "--data", "p,g\n\n"],
+    "fit-phi-non-numeric-row": ["fit-phi", "--data", "p,g\n0.1,2\nx,y"],
 }
 
 #: probability vectors whose sum leaves the float range: not normalized, so

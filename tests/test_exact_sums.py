@@ -7,6 +7,7 @@ The oracle is math.fsum, called row by row.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,6 +128,33 @@ class TestSegmentFsums:
         flat, offsets = ragged([x, terms, rng.standard_normal(70_000) * 1e-200])
         expected = [math.fsum(flat[a:b].tolist()) for a, b in zip(offsets, offsets[1:])]
         assert segment_fsums(flat, offsets).tolist() == expected
+
+    def test_long_rows_near_a_midpoint(self):
+        """Rows of 500 to 4,000 entries whose exact sum is the midpoint
+        2^e + 2^(e - 53) plus an offset d: d = 0, or +-2^(e - 53 - j) from
+        well outside the certificate's band (j = 12) to far inside it.  Each
+        row is the midpoint, a equal terms v of up to 2^(e - 42), the two
+        doubles c1 + c2 = -a v, and d, or the negative of all that.  np.sum
+        of many equal terms rounds the same way again and again, so a band
+        2^10 times too narrow certifies some rows of up to about 1,000
+        entries on the wrong side of the midpoint; in longer rows the band's
+        n^2 growth outruns np.sum's error."""
+        rng = np.random.default_rng(25)
+        rows_ = []
+        for draw in range(36):
+            e = int(rng.integers(-800, 800))
+            a = int(rng.integers(1000, 4000) if draw % 3 == 0 else rng.integers(500, 1000))
+            v = 2.0 ** (e - 42) * rng.uniform(0.75, 1.0)
+            c1 = -(a * v)
+            c2 = -float(Fraction(v) * a + Fraction(c1))  # a v + c1, a double
+            sign = 1.0 if draw % 2 else -1.0
+            for d in [0.0] + [s * 2.0 ** (e - 53 - j) for j in (12, 24, 36, 42) for s in (1, -1)]:
+                rows_.append(sign * np.concatenate([[2.0**e, 2.0 ** (e - 53)], np.full(a, v),
+                                                    [c1, c2, d]]))
+        flat, offsets = ragged(rows_)
+        expected = [math.fsum(r.tolist()) for r in rows_]
+        with sum_path(0):
+            assert segment_fsums(flat, offsets).tolist() == expected
 
     def test_uncertified_rows_fall_back_to_fsum(self, monkeypatch):
         """Only the rows the numpy passes cannot vouch for go to fsum: a

@@ -313,13 +313,10 @@ class TestMaxentShellCheck:
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
     def test_scalar_constants_must_be_positive_finite(self, bad):
         d = DiscretizedShellDensity.uniform(np.full(4, 1.0))
-        spec = ShellSpec(E=1.0, dE=0.01, V=1.0, N=1)
         with pytest.raises(ValidationError, match="C must be a positive finite real"):
             shell_entropy(d, bad)
         with pytest.raises(ValidationError, match="planck_h must be a positive finite real"):
             compare_entropy_forms(1.0, bad, 1)
-        with pytest.raises(ValidationError, match="energy must be a positive finite real"):
-            log_phase_ball_volume(spec, bad)
 
     @given(st.floats(0.01, 100.0), st.floats(0.01, 100.0))
     @settings(max_examples=50)
