@@ -172,9 +172,22 @@ class DiscreteDistribution:
         probs = float_vector(self.probs, "probs")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        if not 0 < check_real(self.tolerance, "tolerance") < 1:
+        tol = check_real(self.tolerance, "tolerance")
+        if not 0 < tol < 1:
             raise ValidationError(f"tolerance must be in (0, 1), got {self.tolerance}")
-        check_probability_rows(probs, np.array([0, probs.size]), self.tolerance)
+        if probability_rows_ok(probs, np.array([0, probs.size]), tol)[0]:
+            return
+        if np.any(probs < 0):
+            raise NegativeProbability(f"negative probability entry {float(probs.min())}")
+        try:
+            total = row_fsum(probs)
+        except OverflowError:
+            raise NotNormalized(
+                f"probabilities sum beyond the float range (tolerance {tol:.1e})"
+            ) from None
+        raise NotNormalized(
+            f"probabilities sum to {total}, off by {total - 1.0:+.3e} (tolerance {tol:.1e})"
+        )
 
     @property
     def n(self) -> int:
@@ -536,25 +549,19 @@ def renormalize(probs, tolerance: float = DEFAULT_TOLERANCE) -> DiscreteDistribu
     return DiscreteDistribution(arr / total, tolerance=tolerance)
 
 
-def product_tolerance(tolerance, sizes):
-    """Tolerance of a joint distribution: the factors' tolerance scaled by
-    the factor sizes n + m, to absorb accumulated rounding, and capped at
-    0.5.  Takes scalars or arrays."""
-    return np.minimum(tolerance * sizes, 0.5)
-
-
 def product_distribution(
     p: DiscreteDistribution, q: DiscreteDistribution
 ) -> DiscreteDistribution:
     """Joint distribution of two independent experiments.
 
     Entries are p_j * q_a in row-major order (j outer, a inner); there
-    are at most MAX_ROW of them.
+    are at most MAX_ROW of them.  Its tolerance is the factors' scaled by
+    n + m, to absorb accumulated rounding, and capped at 0.5.
     """
     check_count(p.n * q.n, "p.n * q.n", 1, MAX_ROW)
     joint = np.outer(p.probs, q.probs).ravel()
-    tol = product_tolerance(max(p.tolerance, q.tolerance), p.n + q.n)
-    return DiscreteDistribution(joint, tolerance=float(tol))
+    tol = min(max(p.tolerance, q.tolerance) * (p.n + q.n), 0.5)
+    return DiscreteDistribution(joint, tolerance=tol)
 
 
 # -- ragged row blocks ---------------------------------------------------------
@@ -758,28 +765,6 @@ def probability_rows_ok(flat: np.ndarray, offsets: np.ndarray, tolerance) -> np.
     good &= flat >= 0
     ok = np.logical_and.reduceat(good, offsets[:-1])
     return ok & normalized_rows(flat if ok.all() else np.where(good, flat, 0.0), offsets, tolerance)
-
-
-def check_probability_rows(flat: np.ndarray, offsets: np.ndarray, tolerance) -> None:
-    """probability_rows_ok on every row of a block at once.  The first row
-    that fails raises the error that DiscreteDistribution documents for it."""
-    ok = probability_rows_ok(flat, offsets, tolerance)
-    if ok.all():
-        return
-    i = int(np.argmin(ok))
-    row = float_vector(flat[offsets[i]:offsets[i + 1]], "probs")  # raises if not finite
-    if np.any(row < 0):
-        raise NegativeProbability(f"negative probability entry {float(row.min())}")
-    tol = float(np.broadcast_to(tolerance, ok.shape)[i])
-    try:
-        total = row_fsum(row)
-    except OverflowError:
-        raise NotNormalized(
-            f"probabilities sum beyond the float range (tolerance {tol:.1e})"
-        ) from None
-    raise NotNormalized(
-        f"probabilities sum to {total}, off by {total - 1.0:+.3e} (tolerance {tol:.1e})"
-    )
 
 
 # -- JSON input parsing (shared wire formats) ---------------------------------

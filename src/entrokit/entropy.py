@@ -18,17 +18,14 @@ import numpy as np
 
 from .distributions import (
     BLOCK_ELEMENTS,
-    DEFAULT_TOLERANCE,
     MAX_ROW,
     BinnedVariable,
     DiscreteDistribution,
     EntropyValue,
     check_count,
-    check_probability_rows,
     check_real,
     offsets_of,
     product_distribution,
-    product_tolerance,
     row_blocks,
     segment_fsums,
 )
@@ -45,7 +42,7 @@ def entropy_terms(flat: np.ndarray, log_h=0.0) -> np.ndarray:
     entropy's terms (section 3).  A block's terms keep the block's offsets.
     Formed in the log's output array: -(p x) is (-p) x exactly.  Only a
     block that may hold a zero (or a nan) masks its log."""
-    if flat.min(initial=math.inf) > 0:  # an empty block has no zero either
+    if flat.min() > 0:
         terms = np.log(flat)
     else:
         terms = np.log(flat, out=np.zeros_like(flat), where=flat > 0)
@@ -207,9 +204,38 @@ def schur_concavity_check(
 def simplex_rows(rng: np.random.Generator, offsets: np.ndarray) -> np.ndarray:
     """Uniform draws from the simplices of the rows of a block: normalized
     exponentials, drawn by one rng call, each row divided by its exact sum
-    (fsum's bits, from segment_fsums).  The one simplex draw of the package."""
+    (fsum's bits, from segment_fsums).  The one simplex draw of the package.
+    standard_exponential draws 0.0 about once in 2^53, so one test per row
+    refuses a row that sums to 0, which would be 0/0.
+
+    The suites' rows are probability rows by construction, so they check
+    none.  With u = 2^-53, every entry is finite and >= 0, and the exact sum
+    of a row of n entries is within 9u + n 2^-1073 of 1; the fsum of a check
+    adds at most u, far inside a tolerance of 1e-9.  Model: fl(x op y) =
+    (x op y)(1 + d) + e, |d| <= u, where |e| <= 2^-1075 only if a product or
+    quotient underflows.  Terms of order u^2 stay below u, and underflow
+    adds less than n 2^-1073.
+    - Simplex rows fl(w_i / S), S = sum(w)(1 + d0) > 0: each is <= 1, and
+      they sum to (1 + a w-weighted mean of the d_i) / (1 + d0): within 2u/(1 - u).
+    - Mixtures fl(fl(lam a_i) + fl((1 - lam) b_i)) (run_axiom_suite): lam is
+      on the 2^-53 grid of [0, 1), so 1 - lam is exact, and each entry of
+      nonnegative terms errs by 2u + u^2 relative at most: within about 4u.
+    - Joint rows fl(p_j q_a): sum(p) sum(q)(1 + d), within about 5u.
+    - Up to 5 Robin Hood transfers: eps = fl(U fl(q_big - q_small)), U in
+      [0, 1/2), is at most half the gap, so both entries stay >= 0, and each
+      transfer rounds two nonnegative sums, so it moves the row's sum by at
+      most u times it: within about 7u in all.
+    - Max-entropy trials fl(fl(t q_i) + fl((1 - t) c_i)) (maxent_shell_check):
+      1 - t is on the 2^-53 grid, so t and 1 - t are exact, and the uniform
+      masses c_i = fl(w_i fl(1/T)), T = fsum(w) (DiscretizedShellDensity.uniform),
+      sum to within about 6u of 1, as fl(1/T) errs by 4u at most
+      (T 2^-1075 < 2^-51 where 1/T is subnormal): within about 8u.  The
+      uniform density's own 1e-9 check bounds sum(c) far too loosely."""
     w = rng.standard_exponential(offsets[-1])
-    w /= np.repeat(segment_fsums(w, offsets), np.diff(offsets))
+    sums = segment_fsums(w, offsets)
+    if not np.all(sums > 0):
+        raise ValidationError("a simplex row drew only zeros: draw it from another seed")
+    w /= np.repeat(sums, np.diff(offsets))
     return w
 
 
@@ -355,7 +381,6 @@ def run_axiom_suite(
         np.subtract(1.0, w, out=w)
         w *= b
         flat[ab.size :] += w
-        check_probability_rows(flat, offsets, DEFAULT_TOLERANCE)
         h = (k * np.array(entropy_rows(flat, offsets))).reshape(3, -1)
         ha, hb, hmix = h
         min_entropy = min(min_entropy, float(h[:2].min()))
@@ -387,9 +412,6 @@ def run_axiom_suite(
         np.cumsum(a, out=a)
         flat = np.concatenate((pq, np.repeat(pq[: start.size], width)))
         flat[pq.size :] *= pq[a]
-        tol = np.full(3 * n.size, DEFAULT_TOLERANCE)
-        tol[2 * n.size :] = product_tolerance(DEFAULT_TOLERANCE, n + m)
-        check_probability_rows(flat, offsets, tol)
         hp, hq, hjoint = (k * np.array(entropy_rows(flat, offsets))).reshape(3, -1)
         additivity_max = max(additivity_max, float(np.abs(hjoint - hp - hq).max()))
 
@@ -400,7 +422,6 @@ def run_axiom_suite(
         offsets = offsets_of(np.tile(n, 2))
         start = simplex_rows(rng, offsets[: n.size + 1])
         flat = np.concatenate((start, _robin_hood(rng, start, offsets[: n.size + 1], transfers)))
-        check_probability_rows(flat, offsets, DEFAULT_TOLERANCE)
         hp, hq = np.array(entropy_rows(flat, offsets)).reshape(2, -1)  # in nats, as the tolerance
         p, q = np.split(_padded(flat, offsets), 2)
         p_maj_q = _majorizes(p, q)

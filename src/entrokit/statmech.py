@@ -171,7 +171,13 @@ class DiscretizedShellDensity:
             raise ValidationError(f"{w.size} cell volumes but {f.size} densities")
         masses = _cell_masses(w, f)
         if not probability_rows_ok(masses, np.array([0, w.size]), SHELL_TOLERANCE)[0]:
-            _raise_shell_row_error(masses)
+            if np.any(masses < 0):
+                raise InvalidDensity("densities must be nonnegative")
+            try:
+                total = row_fsum(masses)
+            except OverflowError:
+                raise InvalidDensity("sum(w_i f_i) lies beyond the float range") from None
+            raise InvalidDensity(f"sum(w_i f_i) = {total}, off by {total - 1.0:+.3e}")
         w.setflags(write=False)
         f.setflags(write=False)
         object.__setattr__(self, "cell_volumes", w)
@@ -204,18 +210,6 @@ def _cell_masses(w: np.ndarray, f: np.ndarray) -> np.ndarray:
     the one place they are formed: a negative f is kept as it is, lest w*f
     round it to -0.0."""
     return np.where(f < 0, f, w * f)
-
-
-def _raise_shell_row_error(masses: np.ndarray) -> None:
-    """Raise DiscretizedShellDensity's error for a row of finite densities
-    whose cell masses probability_rows_ok rejects."""
-    if np.any(masses < 0):
-        raise InvalidDensity("densities must be nonnegative")
-    try:
-        total = row_fsum(masses)
-    except OverflowError:
-        raise InvalidDensity("sum(w_i f_i) lies beyond the float range") from None
-    raise InvalidDensity(f"sum(w_i f_i) = {total}, off by {total - 1.0:+.3e}")
 
 
 def _log_widths(w: np.ndarray, C: float) -> np.ndarray:
@@ -256,18 +250,21 @@ def maxent_shell_check(
     which may exceed its entropy by more than 1e-12 nats, whatever the unit
     k of the reported entropy.  Each trial is a row of cell masses
     (1 - t) u + t q: u the uniform masses, q a simplex_rows row from one
-    child stream of the seed, t in (0, 1] from the other.  Blocks of about
-    BLOCK_ELEMENTS cells are drawn and checked at once; each stream is read
-    in order, so the report does not depend on the block size, and every
-    check decides exactly as fsum would.
+    child stream of the seed, t in (0, 1] from the other.  Each trial is a
+    probability row by construction (the proof is simplex_rows'), so none
+    is checked.  Blocks of about BLOCK_ELEMENTS cells are drawn and decided
+    at once; each stream is read in order, so the report does not depend on
+    the block size, and every decision is exactly fsum's.
     """
     check_count(trials, "trials", 1)
     check_count(seed, "seed", 0)
-    entropy = shell_entropy(d, C, k)
+    check_positive(C, "C")
     w = d.cell_volumes
     m = w.size
+    log_h = _log_widths(w, C)  # shell_entropy(d, C, k), with log widths the trials reuse
+    nats = entropy_rows(_cell_masses(w, d.densities), np.array([0, m]), log_h)[0]
+    entropy = EntropyValue.of(nats, k).value
     u = _cell_masses(w, DiscretizedShellDensity.uniform(w).densities)
-    log_h = _log_widths(w, C)
     threshold = entropy_rows(u, np.array([0, m]), log_h)[0] + MAXENT_SLACK  # in nats
     draws, weights = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     per_block = max(1, BLOCK_ELEMENTS // m)
@@ -278,14 +275,10 @@ def maxent_shell_check(
         masses = simplex_rows(draws, offsets).reshape(rows, m)
         masses *= t
         masses += (1.0 - t) * u
-        ok = probability_rows_ok(masses.ravel(), offsets, SHELL_TOLERANCE)
-        valid = rows if ok.all() else int(np.argmin(ok))
-        terms = entropy_terms(masses[:valid], log_h).ravel()
-        if fsum_decides(terms, offsets[: valid + 1], lambda s: s > threshold).any():
-            return MaxentReport(entropy=entropy.value, is_maximal=False)
-        if valid < rows:
-            _raise_shell_row_error(masses[valid])
-    return MaxentReport(entropy=entropy.value, is_maximal=True)
+        terms = entropy_terms(masses, log_h).ravel()
+        if fsum_decides(terms, offsets, lambda s: s > threshold).any():
+            return MaxentReport(entropy=entropy, is_maximal=False)
+    return MaxentReport(entropy=entropy, is_maximal=True)
 
 
 # -- two classical-entropy readings compared -----------------------------------

@@ -9,7 +9,6 @@ those sections from the one computation of the corpus per test run.
 import io
 import json
 import math
-import re
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 from entrokit import (
     DiscreteDistribution,
     DiscretizedShellDensity,
-    InvalidDensity,
+    ValidationError,
     cli,
     entropy,
     maxent_shell_check,
@@ -31,7 +30,7 @@ from entrokit import (
     shell_entropy,
     statmech,
 )
-from entrokit.distributions import BLOCK_ELEMENTS, offsets_of
+from entrokit.distributions import BLOCK_ELEMENTS, offsets_of, probability_rows_ok, segment_fsums
 
 from conftest import peak_bytes
 
@@ -89,12 +88,13 @@ def test_robin_hood_blocks_keep_every_pair_ordered(pairs, seed):
 def test_blocks_hold_at_most_block_elements_unless_one_pair(sizes, monkeypatch):
     blocks = []
 
-    def record(flat, offsets, tolerance):
-        blocks.append((flat.size, offsets.size - 1))
-        check_probability_rows(flat, offsets, tolerance)
+    def record(flat, offsets, log_h=0.0):
+        if offsets.size > 2:  # not a uniform row's sum, through shannon_entropy
+            blocks.append((flat.size, offsets.size - 1))
+        return entropy_rows(flat, offsets, log_h)
 
-    check_probability_rows = entropy.check_probability_rows
-    monkeypatch.setattr(entropy, "check_probability_rows", record)
+    entropy_rows = entropy.entropy_rows
+    monkeypatch.setattr(entropy, "entropy_rows", record)
     report = run_axiom_suite(11, **sizes)
     assert report.passed
     # a pair is three rows (a, b, mixture; p, q, joint) or two (p, q)
@@ -178,44 +178,25 @@ def _new_lows(values):
     "m", [64, BLOCK_ELEMENTS // 4 + 1, BLOCK_ELEMENTS // 2 + 1, BLOCK_ELEMENTS]
 )
 def test_maxent_decisions_match_the_per_trial_loop(m, monkeypatch):
-    """Make chosen trials exceed the threshold (a negative slack) or fail the
-    normalization check (a tolerance below their error), at positions inside
-    a block, and check that the batched check returns or raises as the
-    per-trial loop does, whichever of the two comes first.
-
-    The tolerance just below the first nonzero error, at the default slack,
-    makes that trial fail whatever the draws put before it, so the invalid
-    outcome does not need a failing trial ahead of an exceeding one."""
+    """Make chosen trials exceed the threshold (a negative slack), at
+    positions inside a block, and check that the batched check returns as
+    the per-trial loop does."""
     d, C, trials, seed = _cells(m), 1.0, 80, 3
     w = d.cell_volumes
     s_uniform = shell_entropy(DiscretizedShellDensity.uniform(w), C).value
     entropies = _trial_entropies(d, C, trials, seed)
     deficit = [s_uniform - s for s in entropies]
-    error = [abs(math.fsum(masses.tolist()) - 1.0) for masses in _trials(d, trials, seed)]
     # each cut picks one trial: a slack of -cut makes it the first to exceed
-    # the threshold, a tolerance of -cut the first to fail normalization
+    # the threshold
     first_exceeding = _new_lows(deficit)
-    first_invalid = _new_lows([-e for e in error])
-    first_nonzero = next(e for e in error if e > 0.0)
     assert first_exceeding
-    slacks = [statmech.MAXENT_SLACK] + [-cut for _, cut in first_exceeding]
-    tolerances = [statmech.SHELL_TOLERANCE] + [-c for _, c in first_invalid]
-    tolerances.append(math.nextafter(first_nonzero, 0.0))
     outcomes = set()
-    for slack in slacks:
-        for tolerance in tolerances:
-            monkeypatch.setattr(statmech, "MAXENT_SLACK", slack)
-            monkeypatch.setattr(statmech, "SHELL_TOLERANCE", tolerance)
-            try:
-                expected = _reference_maxent(d, C, trials, seed, entropies)
-            except InvalidDensity as exc:
-                with pytest.raises(InvalidDensity, match=re.escape(str(exc))):
-                    maxent_shell_check(d, C, trials=trials, seed=seed)
-                outcomes.add("invalid")
-                continue
-            assert maxent_shell_check(d, C, trials=trials, seed=seed).is_maximal is expected
-            outcomes.add("maximal" if expected else "exceeds")
-    assert outcomes == {"invalid", "exceeds", "maximal"}
+    for slack in [statmech.MAXENT_SLACK] + [-cut for _, cut in first_exceeding]:
+        monkeypatch.setattr(statmech, "MAXENT_SLACK", slack)
+        expected = _reference_maxent(d, C, trials, seed, entropies)
+        assert maxent_shell_check(d, C, trials=trials, seed=seed).is_maximal is expected
+        outcomes.add("maximal" if expected else "exceeds")
+    assert outcomes == {"exceeds", "maximal"}
 
 
 @pytest.mark.parametrize("m", [64, BLOCK_ELEMENTS // 4 + 1])
@@ -261,6 +242,62 @@ def test_maxent_report_does_not_depend_on_the_block_size(monkeypatch):
             monkeypatch.setattr(statmech, "MAXENT_SLACK", -cut)
             assert maxent_shell_check(d, C, trials=i, seed=seed).is_maximal
             assert not maxent_shell_check(d, C, trials=i + 1, seed=seed).is_maximal
+
+
+def test_suite_rows_are_probability_rows_by_construction(monkeypatch):
+    """Every row the suites build, taken where its entropy is summed, passes
+    the carriers' check and lies within the bound that simplex_rows proves:
+    its fsum within 10u + n 2^-1073 of 1, with u = 2^-53."""
+    checked = []
+
+    def check(flat, offsets):
+        n = np.diff(offsets)
+        assert probability_rows_ok(flat, offsets, 1e-9).all()
+        assert np.all(np.abs(segment_fsums(flat, offsets) - 1.0) <= 10 * 2.0**-53 + n * 2.0**-1073)
+        checked.append(n.size)
+
+    rows, terms = entropy.entropy_rows, statmech.entropy_terms
+
+    def suite_rows(flat, offsets, log_h=0.0):
+        if offsets.size > 2:  # not a uniform row's sum, through shannon_entropy
+            check(flat, offsets)
+        return rows(flat, offsets, log_h)
+
+    def trial_rows(masses, log_h):
+        check(masses.ravel(), np.arange(masses.shape[0] + 1) * masses.shape[1])
+        return terms(masses, log_h)
+
+    monkeypatch.setattr(entropy, "entropy_rows", suite_rows)
+    monkeypatch.setattr(statmech, "entropy_terms", trial_rows)
+    reports = [run_axiom_suite(seed) for seed in range(5)]
+    reports.append(run_axiom_suite(5, n_distributions=20, max_n=2048, additivity_pairs=2,
+                                   majorization_pairs=20))
+    expected = sum(3 * (r.n_distributions // 2 + r.additivity_pairs) + 2 * r.majorization_pairs
+                   for r in reports)
+    spread = DiscretizedShellDensity.uniform(np.exp(np.linspace(-600.0, 600.0, 64)))
+    trials = 500
+    for d in (_cells(1), _cells(64), _cells(4096), spread):
+        for C in (1.0, 1e-300):
+            assert maxent_shell_check(d, C, trials=trials, seed=7).is_maximal
+            expected += trials
+    assert sum(checked) == expected
+
+
+def test_a_simplex_row_of_zero_draws_is_refused():
+    """standard_exponential draws 0.0 where PCG64's raw output is 0, so a
+    one-element simplex row can sum to 0; simplex_rows refuses it rather than
+    divide 0 by 0."""
+    bits = np.random.PCG64(1)
+    state = bits.state
+    # PCG64 steps its 128-bit state s to s M + inc, then outputs the xor of
+    # the new state's halves, rotated: so the state before 0 draws a raw 0
+    multiplier = (2549297995355413924 << 64) + 4865540595714422341
+    state["state"]["state"] = -state["state"]["inc"] * pow(multiplier, -1, 2**128) % 2**128
+    bits.state = state
+    assert np.random.Generator(bits).standard_exponential() == 0.0
+    bits.state = state
+    with pytest.raises(ValidationError, match="only zeros"):
+        random_distribution(np.random.Generator(bits), 1)
 
 
 def test_axiom_suite_memory_is_bounded():

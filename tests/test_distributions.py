@@ -31,7 +31,6 @@ from entrokit.distributions import (
     GAUSSIAN_HALF_WIDTH,
     MAX_ROW,
     TRUNCATION_EPS,
-    check_probability_rows,
     fsum_decides,
     normalized_rows,
 )
@@ -379,18 +378,6 @@ class TestCertifiedDecisions:
             with sum_path(elements):
                 got = fsum_decides(flat, offsets, lambda t: t > thr, lambda t: t - 1.0 <= 1e-9)
             assert got.tolist() == ((exact > thr) & (exact - 1.0 <= 1e-9)).tolist()
-
-    def test_block_checks_raise_the_carrier_error_of_the_first_bad_row(self):
-        flat, offsets = ragged([np.array([0.5, 0.5]), np.array([0.7, 0.5]), np.array([-0.5, 1.5])])
-        with pytest.raises(NotNormalized, match="sum to 1.2"):
-            check_probability_rows(flat, offsets, 1e-9)
-        flat, offsets = ragged([np.array([1.0]), np.array([-0.5, 1.5]), np.array([0.7, 0.5])])
-        with pytest.raises(NegativeProbability):
-            check_probability_rows(flat, offsets, 1e-9)
-        flat, offsets = ragged([np.array([1.0]), np.array([np.nan, 1.0])])
-        with pytest.raises(ValidationError, match="finite"):
-            check_probability_rows(flat, offsets, 1e-9)
-        check_probability_rows(*ragged([np.array([1.0]), np.full(3, 1 / 3)]), 1e-9)
 
     def test_per_row_tolerances(self):
         flat, offsets = ragged([np.array([0.5, 0.5 + 1e-8]), np.array([0.5, 0.5 + 1e-8])])
