@@ -175,10 +175,10 @@ class DiscreteDistribution:
         tol = check_real(self.tolerance, "tolerance")
         if not 0 < tol < 1:
             raise ValidationError(f"tolerance must be in (0, 1), got {self.tolerance}")
-        if probability_rows_ok(probs, np.array([0, probs.size]), tol)[0]:
-            return
         if np.any(probs < 0):
             raise NegativeProbability(f"negative probability entry {float(probs.min())}")
+        if normalized_rows(probs, np.array([0, probs.size]), tol)[0]:
+            return
         try:
             total = row_fsum(probs)
         except OverflowError:
@@ -286,7 +286,7 @@ class DensitySpec:
         captured = float(self.bin_masses(np.array(self.support))[0])
         if captured < 1.0 - 1e-9:
             raise UnboundedSupport(
-                f"declared support holds mass {captured}, below 1 - 1e-9"
+                f"{supports[-1][0]} support holds mass {captured}, below 1 - 1e-9"
             )
 
     @staticmethod
@@ -752,19 +752,6 @@ def normalized_rows(flat: np.ndarray, offsets: np.ndarray, tolerance) -> np.ndar
     return fsum_decides(
         flat, offsets, lambda t: t - 1.0 <= tolerance, lambda t: 1.0 - t <= tolerance
     )
-
-
-def probability_rows_ok(flat: np.ndarray, offsets: np.ndarray, tolerance) -> np.ndarray:
-    """The one decision of a probability vector, for every row of a block:
-    finite, nonnegative and |fsum(row) - 1| <= tolerance (a scalar or one
-    per row).  The entries are tested one by one only in a block whose min
-    or max fails, as a nan makes both fail."""
-    if flat.min() >= 0 and flat.max() < math.inf:
-        return normalized_rows(flat, offsets, tolerance)
-    good = np.isfinite(flat)
-    good &= flat >= 0
-    ok = np.logical_and.reduceat(good, offsets[:-1])
-    return ok & normalized_rows(flat if ok.all() else np.where(good, flat, 0.0), offsets, tolerance)
 
 
 # -- JSON input parsing (shared wire formats) ---------------------------------

@@ -53,6 +53,8 @@ def entropy_terms(flat: np.ndarray, log_h=0.0) -> np.ndarray:
 
 def entropy_rows(flat: np.ndarray, offsets: np.ndarray, log_h=0.0) -> list[float]:
     """fsum(entropy_terms) of every row of a block, in nats: the one entropy sum."""
+    # Python floats, not float64: where k * S overflows, a float gives inf for
+    # EntropyValue to refuse, and a float64 raises numpy's overflow warning first
     return segment_fsums(entropy_terms(flat, log_h), offsets).tolist()
 
 

@@ -45,7 +45,6 @@ from .distributions import (
     check_sequence,
     normalized_rows,
     offsets_of,
-    probability_rows_ok,
     row_blocks,
     row_fsum,
 )
@@ -201,7 +200,8 @@ def _block_entropies(f: DensitySpec, hs: np.ndarray, grids, k: float) -> list[En
     # a row's first value follows no other
     rising[offsets[1:-1]] = np.isfinite(mids[offsets[1:-1]])
     ok = np.logical_and.reduceat(rising, offsets[:-1])
-    ok &= probability_rows_ok(probs, offsets, QUANTIZED_TOL)
+    # probs are max(m, 0): each entry is >= 0 or nan, and no tolerance holds a nan sum
+    ok &= normalized_rows(probs, offsets, QUANTIZED_TOL)
     with_deficit = np.insert(probs, offsets[1:], deficit)
     ok &= normalized_rows(with_deficit, offsets_of(n + 1), QUANTIZED_TOL)
     valid = ok.size if ok.all() else int(np.argmin(ok))

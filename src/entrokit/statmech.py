@@ -39,7 +39,7 @@ from .distributions import (
     check_real,
     float_vector,
     fsum_decides,
-    probability_rows_ok,
+    normalized_rows,
     row_fsum,
 )
 from .entropy import entropy_rows, entropy_terms, simplex_rows
@@ -169,10 +169,11 @@ class DiscretizedShellDensity:
         f = float_vector(self.densities, "densities")
         if w.size != f.size:
             raise ValidationError(f"{w.size} cell volumes but {f.size} densities")
-        masses = _cell_masses(w, f)
-        if not probability_rows_ok(masses, np.array([0, w.size]), SHELL_TOLERANCE)[0]:
-            if np.any(masses < 0):
-                raise InvalidDensity("densities must be nonnegative")
+        # the sign of f itself: w*f would round a tiny negative f to -0.0
+        if np.any(f < 0):
+            raise InvalidDensity("densities must be nonnegative")
+        masses = w * f
+        if not normalized_rows(masses, np.array([0, w.size]), SHELL_TOLERANCE)[0]:
             try:
                 total = row_fsum(masses)
             except OverflowError:
@@ -205,13 +206,6 @@ def _cell_volumes(x) -> np.ndarray:
     return w
 
 
-def _cell_masses(w: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The cell masses w_i f_i of every row of densities f on cells w > 0,
-    the one place they are formed: a negative f is kept as it is, lest w*f
-    round it to -0.0."""
-    return np.where(f < 0, f, w * f)
-
-
 def _log_widths(w: np.ndarray, C: float) -> np.ndarray:
     """ln(w_i / C) from mantissas and exponents: finite where w_i / C overflows,
     and accurate where ln w_i - ln C cancels (w_i near C, both far from 1)."""
@@ -224,7 +218,7 @@ def shell_entropy(d: DiscretizedShellDensity, C: float, k: float = 1.0) -> Entro
     It is the total entropy of the cell masses w_i f_i at widths w_i / C."""
     check_positive(C, "C")
     w = d.cell_volumes
-    s = entropy_rows(_cell_masses(w, d.densities), np.array([0, w.size]), _log_widths(w, C))
+    s = entropy_rows(w * d.densities, np.array([0, w.size]), _log_widths(w, C))
     return EntropyValue.of(s[0], k)
 
 
@@ -262,9 +256,9 @@ def maxent_shell_check(
     w = d.cell_volumes
     m = w.size
     log_h = _log_widths(w, C)  # shell_entropy(d, C, k), with log widths the trials reuse
-    nats = entropy_rows(_cell_masses(w, d.densities), np.array([0, m]), log_h)[0]
+    nats = entropy_rows(w * d.densities, np.array([0, m]), log_h)[0]
     entropy = EntropyValue.of(nats, k).value
-    u = _cell_masses(w, DiscretizedShellDensity.uniform(w).densities)
+    u = w * DiscretizedShellDensity.uniform(w).densities
     threshold = entropy_rows(u, np.array([0, m]), log_h)[0] + MAXENT_SLACK  # in nats
     draws, weights = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     per_block = max(1, BLOCK_ELEMENTS // m)

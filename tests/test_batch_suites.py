@@ -30,7 +30,7 @@ from entrokit import (
     shell_entropy,
     statmech,
 )
-from entrokit.distributions import BLOCK_ELEMENTS, offsets_of, probability_rows_ok, segment_fsums
+from entrokit.distributions import BLOCK_ELEMENTS, normalized_rows, offsets_of, segment_fsums
 
 from conftest import peak_bytes
 
@@ -252,7 +252,8 @@ def test_suite_rows_are_probability_rows_by_construction(monkeypatch):
 
     def check(flat, offsets):
         n = np.diff(offsets)
-        assert probability_rows_ok(flat, offsets, 1e-9).all()
+        assert np.isfinite(flat).all() and flat.min() >= 0
+        assert normalized_rows(flat, offsets, 1e-9).all()
         assert np.all(np.abs(segment_fsums(flat, offsets) - 1.0) <= 10 * 2.0**-53 + n * 2.0**-1073)
         checked.append(n.size)
 

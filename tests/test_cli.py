@@ -142,6 +142,14 @@ class TestRunOutputs:
             0.5 * math.log(2 * math.pi * math.e), abs=1e-8
         )
 
+    def test_a_collapsed_implied_support_is_named(self):
+        density = '{"family":"gaussian","mu":1,"sigma":1e-17}'
+        code, out, _ = invoke(["differential", "--density", density])
+        assert code == 65
+        error = strict_json(out)["error"]
+        assert error["kind"] == "UnboundedSupport"
+        assert error["message"].startswith("implied support holds mass 0.5,")
+
     def test_modified(self):
         code, out, _ = invoke(
             ["modified", "--density", '{"family":"uniform","a":0,"b":1}', "--h", "0.1"]

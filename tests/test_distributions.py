@@ -218,10 +218,15 @@ class TestDensitySpec:
         assert all(b >= a for a, b in zip(cdfs, cdfs[1:]))
 
     def test_explicit_support_must_hold_mass(self):
-        with pytest.raises(UnboundedSupport):
+        with pytest.raises(UnboundedSupport, match="^declared support holds mass 0.68"):
             DensitySpec(
                 "gaussian", {"mu": 0.0, "sigma": 1.0}, support=(-1.0, 1.0)
             )
+
+    def test_an_implied_support_that_holds_too_little_mass_is_named(self):
+        # mu -/+ 7.4 sigma round to (1 - 2^-53, 1), which holds only the lower half
+        with pytest.raises(UnboundedSupport, match="^implied support holds mass 0.5,"):
+            DensitySpec.gaussian(1.0, 1e-17)
 
     def test_unknown_family_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="unknown density family 'bogus'"):

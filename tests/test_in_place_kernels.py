@@ -8,6 +8,7 @@ themselves.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from entrokit.distributions import (
     fsum_decides,
     normalized_rows,
     offsets_of,
-    probability_rows_ok,
     segment_fsums,
 )
 from entrokit.entropy import entropy_terms, simplex_rows
@@ -69,24 +69,23 @@ def test_sums_and_decisions_leave_their_inputs_and_keep_fsums_bits(sizes):
         assert x.tobytes() == before
 
 
-@pytest.mark.parametrize("sizes", SIZES, ids=["row", "small", "large"])
-@pytest.mark.parametrize("bad", [None, -1e-3, math.nan, math.inf])
-def test_probability_rows_leave_their_inputs(sizes, bad):
-    """Blocks of good rows skip the copy that zeroes bad entries; a block
-    with a negative or non-finite entry takes it.  Either way the rows
-    decide as the out-of-place expression does."""
-    flat, offsets = probability_block(sizes, 1)
-    if bad is not None:  # in the last row, which still sums to about 1
-        i = offsets[-2]
-        flat[i + 1] += flat[i] - bad if math.isfinite(bad) else 0.0
-        flat[i] = bad
+@pytest.mark.parametrize("n", [3, 5000], ids=["fsum", "numpy"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_row_holding_nan_or_inf_is_not_normalized(n, bad):
+    """The sweep's masses are >= 0 or nan, and normalized_rows alone decides
+    them: a row holding a nan or an inf is not normalized, on the fsum path
+    and on the numpy path, while the good rows beside it are, with no numpy
+    warning and no write into the inputs."""
+    flat, offsets = probability_block([n, n, n], n)
+    flat[offsets[1] + 1] = bad  # the middle row
     flat, offsets = frozen(flat), frozen(offsets)
-    good = np.isfinite(flat) & (flat >= 0)
-    expected = np.logical_and.reduceat(good, offsets[:-1]) & normalized_rows(
-        np.where(good, flat, 0.0), offsets, 1e-9
-    )
-    assert probability_rows_ok(flat, offsets, 1e-9).tolist() == expected.tolist()
-    assert expected[:-1].all() and expected[-1] == (bad is None)
+    assert (flat.size <= FSUM_ELEMENTS) == (n == 3)
+    before = flat.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok = normalized_rows(flat, offsets, 1e-9)
+    assert ok.tolist() == [True, False, True]
+    assert flat.tobytes() == before
 
 
 def out_of_place_terms(flat, log_h=0.0):

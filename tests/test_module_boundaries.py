@@ -53,3 +53,50 @@ def test_guard_sees_both_forms():
         "from .errors import ValidationError\n"
     )
     assert private_imports(source) == ["_grid", "_k", "statmech._helper"]
+
+
+def unused_definitions(sources, exported):
+    """Each top-level function or class of the modules' sources, as
+    `module.name`, that is neither exported nor named anywhere in them
+    outside its own definition and the import lines."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = {
+        (module, node.name, node)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    uses = []  # (name, the top-level statement that names it)
+    for tree in trees.values():
+        for statement in tree.body:
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    uses.append((node.id, statement))
+                elif isinstance(node, ast.Attribute):
+                    uses.append((node.attr, statement))
+    return sorted(
+        f"{module}.{name}"
+        for module, name, definition in defined
+        if name not in exported
+        and not any(used == name and statement is not definition for used, statement in uses)
+    )
+
+
+def test_every_definition_is_exported_or_used():
+    import entrokit
+
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_definitions(sources, set(entrokit.__all__)) == []
+
+
+def test_dead_code_guard_sees_unused_and_self_referring_definitions():
+    sources = {
+        "a": "def used():\n    pass\n\n"
+             "def dead():\n    return dead\n\n"
+             "class Exported:\n    pass\n\n"
+             "def imported_only():\n    pass\n",
+        "b": "from .a import imported_only, used\n\n"
+             "def caller():\n    return used()\n\n"
+             "def by_attribute(m):\n    return m.caller()\n",
+    }
+    assert unused_definitions(sources, {"Exported", "by_attribute"}) == ["a.dead", "a.imported_only"]
