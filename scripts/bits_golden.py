@@ -17,6 +17,16 @@ the entropy and verdict of `maxent_shell_check`.
 entry; a deliberate change of bits regenerates it and lists every moved
 entry.
 
+numpy's AVX-512 loops for `exp`, `log`, `expm1` and `log1p` differ from its
+AVX2 and baseline loops by 1 ulp on some inputs, so the corpus is pinned
+per path.  Its sections hold this process's outputs, and `targets` the
+float64 loop numpy chose here for each of those four functions.  `paths`
+holds, for each list of `NPY_DISABLE_CPU_FEATURES` in `DISABLED`, the loops
+a child process run under it chose and the entries that differ there.
+Write the corpus on a host with the AVX-512 loops, so that the sections are
+theirs; a process is checked against the path of its own loops, and no
+other.
+
 The package is imported from the `src/` of the checkout given, so the
 corpus of any commit can be written and compared with another's:
 
@@ -25,10 +35,13 @@ corpus of any commit can be written and compared with another's:
 """
 
 import argparse
+import copy
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -104,6 +117,12 @@ SUITE_SIZES = {
 MAXENT_CELLS = (1, 4, 64, 1024, 4096)
 MAXENT_C = (0.3, 1.0, 3.0)
 MAXENT_TRIALS = 200
+SECTIONS = ("argv", "stdout", "sweeps", "entropies", "suites", "maxent")
+# the elementary functions whose numpy loops give other bits per CPU path
+KERNELS = ("exp", "log", "expm1", "log1p")
+# NPY_DISABLE_CPU_FEATURES of the other paths: the AVX2 loops of exp and
+# log, then their baseline loops (expm1 and log1p take baseline in both)
+DISABLED = ("X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
 
 
 def _sha(text: str) -> str:
@@ -204,6 +223,66 @@ def corpus() -> dict:
             "suites": _suites(), "maxent": _maxent()}
 
 
+def targets():
+    """numpy's current float64 loop for each of KERNELS, or None where the
+    private table that names them is missing (another numpy)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_targets_info__ as info
+
+        return {f: info[f]["dd"]["current"] for f in KERNELS}
+    except (ImportError, KeyError, TypeError):
+        return None
+
+
+def corpus_in_child(disabled: str, checkout: Path = ROOT) -> dict:
+    """{"targets", "corpus"} of a child process that imports numpy under
+    NPY_DISABLE_CPU_FEATURES=disabled, and the package from checkout's src/."""
+    code = ("import json, sys; sys.path[:0] = sys.argv[2:]; import bits_golden as g; "
+            "open(sys.argv[1], 'w').write(json.dumps({'targets': g.targets(), "
+            "'corpus': g.corpus()}))")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "corpus.json"
+        subprocess.run([sys.executable, "-c", code, str(out), str(ROOT / "scripts"),
+                        str(checkout.resolve() / "src")],
+                       env={**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled}, check=True,
+                       timeout=600)
+        return json.loads(out.read_text())
+
+
+def differences(base: dict, other: dict) -> dict:
+    """The entries of corpus other that differ from base's, per section,
+    keyed by list position (as a string) or by key."""
+    out = {}
+    for section in SECTIONS:
+        old, new = base[section], other[section]
+        keys = range(len(new)) if isinstance(new, list) else new
+        moved = {str(key): new[key] for key in keys if new[key] != old[key]}
+        if moved:
+            out[section] = moved
+    return out
+
+
+def pinned(golden: dict, found) -> dict | None:
+    """The corpus that golden pins for numpy loops `found`: its sections,
+    with the entries of the one path whose loops these are put in; None
+    where no path has them."""
+    if found == golden["targets"]:
+        return {section: golden[section] for section in SECTIONS}
+    for path in golden["paths"]:
+        if found == path["targets"]:
+            out = copy.deepcopy({section: golden[section] for section in SECTIONS})
+            for section, moved in path["moved"].items():
+                for key, value in moved.items():
+                    out[section][int(key) if isinstance(out[section], list) else key] = value
+            return out
+    return None
+
+
+def text(data: dict) -> str:
+    """The bytes of the corpus file that holds data."""
+    return json.dumps(data, indent=1) + "\n"
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -212,8 +291,14 @@ def main() -> None:
     ap.add_argument("--out", type=Path, default=ROOT / "tests" / "data" / "bits_golden.json")
     args = ap.parse_args()
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
+    base = corpus()
+    paths = []
+    for disabled in DISABLED:
+        child = corpus_in_child(disabled, args.checkout)
+        paths.append({"NPY_DISABLE_CPU_FEATURES": disabled, "targets": child["targets"],
+                      "moved": differences(base, child["corpus"])})
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(corpus(), indent=1) + "\n")
+    args.out.write_text(text({**base, "targets": targets(), "paths": paths}))
 
 
 if __name__ == "__main__":

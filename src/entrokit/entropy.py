@@ -204,37 +204,35 @@ def schur_concavity_check(
 
 
 def simplex_rows(rng: np.random.Generator, offsets: np.ndarray) -> np.ndarray:
-    """Uniform draws from the simplices of the rows of a block: normalized
-    exponentials, drawn by one rng call, each row divided by its exact sum
-    (fsum's bits, from segment_fsums).  The one simplex draw of the package.
-    standard_exponential draws 0.0 about once in 2^53, so one test per row
-    refuses a row that sums to 0, which would be 0/0.
+    """The package's one simplex draw, uniform on each row's simplex: exponentials
+    from one rng call, each row over its plain sum (np.add.reduceat: no report
+    carries it); a row summing to 0 (drawn once in about 2^53) is refused, as 0/0.
 
-    The suites' rows are probability rows by construction, so they check
-    none.  With u = 2^-53, every entry is finite and >= 0, and the exact sum
-    of a row of n entries is within 9u + n 2^-1073 of 1; the fsum of a check
-    adds at most u, far inside a tolerance of 1e-9.  Model: fl(x op y) =
-    (x op y)(1 + d) + e, |d| <= u, where |e| <= 2^-1075 only if a product or
-    quotient underflows.  Terms of order u^2 stay below u, and underflow
-    adds less than n 2^-1073.
-    - Simplex rows fl(w_i / S), S = sum(w)(1 + d0) > 0: each is <= 1, and
-      they sum to (1 + a w-weighted mean of the d_i) / (1 + d0): within 2u/(1 - u).
-    - Mixtures fl(fl(lam a_i) + fl((1 - lam) b_i)) (run_axiom_suite): lam is
-      on the 2^-53 grid of [0, 1), so 1 - lam is exact, and each entry of
-      nonnegative terms errs by 2u + u^2 relative at most: within about 4u.
-    - Joint rows fl(p_j q_a): sum(p) sum(q)(1 + d), within about 5u.
-    - Up to 5 Robin Hood transfers: eps = fl(U fl(q_big - q_small)), U in
-      [0, 1/2), is at most half the gap, so both entries stay >= 0, and each
-      transfer rounds two nonnegative sums, so it moves the row's sum by at
-      most u times it: within about 7u in all.
-    - Max-entropy trials fl(fl(t q_i) + fl((1 - t) c_i)) (maxent_shell_check):
-      1 - t is on the 2^-53 grid, so t and 1 - t are exact, and the uniform
-      masses c_i = fl(w_i fl(1/T)), T = fsum(w) (DiscretizedShellDensity.uniform),
-      sum to within about 6u of 1, as fl(1/T) errs by 4u at most
-      (T 2^-1075 < 2^-51 where 1/T is subnormal): within about 8u.  The
-      uniform density's own 1e-9 check bounds sum(c) far too loosely."""
+    The suites' rows are probability rows by construction, so none is checked.
+    With u = 2^-53, every entry is finite and >= 0, and the exact sum of a row of
+    n entries is within (n + 8)u + n 2^-1073 of 1; with the u of a check's fsum,
+    about 4.7e-10 at MAX_ROW = 2^22, half a tolerance of 1e-9.  Model: fl(x op y) =
+    (x op y)(1 + d) + e, |d| <= u, |e| <= 2^-1075 only if a product or quotient
+    underflows; terms of order n^2 u^2 stay below u.
+    - Simplex rows fl(w_i / S) <= 1, as S = sum(w)(1 + d0) >= each w_i, where
+      |d0| <= (n - 1)u / (1 - (n - 1)u) for n nonnegative terms added in any
+      order (Higham, Accuracy and Stability of Numerical Algorithms, 4.2).  They
+      sum to (1 + a w-weighted mean of the d_i) / (1 + d0): within (n + 1)u.
+      numpy adds pairwise, far tighter, as the suites' 1e-12 thresholds need.
+    - Mixtures fl(fl(lam a_i) + fl((1 - lam) b_i)) (run_axiom_suite): 1 - lam is
+      exact (lam is on the 2^-53 grid of [0, 1)), and each entry errs by 2u + u^2
+      relative at most: within (n + 4)u.  Joint rows fl(p_j q_a), n = n_p n_q:
+      within (n_p + n_q + 3)u <= (n + 4)u.  Up to 5 Robin Hood transfers: eps =
+      fl(U fl(q_big - q_small)), U in [0, 1/2), is at most half the gap, so both
+      entries stay >= 0, and each transfer rounds two nonnegative sums, moving
+      the row's sum by at most u times it: within (n + 6)u.
+    - Max-entropy trials fl(fl(t q_i) + fl((1 - t) c_i)) (maxent_shell_check): t
+      and 1 - t are exact (1 - t is on the 2^-53 grid), and the uniform masses
+      c_i = fl(w_i fl(1/T)), T = fsum(w), sum to within 6u of 1, as fl(1/T) errs
+      by 4u at most (T 2^-1075 < 2^-51 where 1/T is subnormal): within (m + 8)u.
+      No MAX_ROW bounds the m cells: past about 2^23 the bound passes 1e-9."""
     w = rng.standard_exponential(offsets[-1])
-    sums = segment_fsums(w, offsets)
+    sums = np.add.reduceat(w, offsets[:-1])
     if not np.all(sums > 0):
         raise ValidationError("a simplex row drew only zeros: draw it from another seed")
     w /= np.repeat(sums, np.diff(offsets))

@@ -172,10 +172,12 @@ class DiscretizedShellDensity:
         # the sign of f itself: w*f would round a tiny negative f to -0.0
         if np.any(f < 0):
             raise InvalidDensity("densities must be nonnegative")
-        masses = w * f
+        with np.errstate(over="ignore"):  # an inf mass: a sum beyond the float range
+            masses = w * f
         if not normalized_rows(masses, np.array([0, w.size]), SHELL_TOLERANCE)[0]:
             try:
-                total = row_fsum(masses)
+                if (total := row_fsum(masses)) == math.inf:  # fsum of an inf mass
+                    raise OverflowError
             except OverflowError:
                 raise InvalidDensity("sum(w_i f_i) lies beyond the float range") from None
             raise InvalidDensity(f"sum(w_i f_i) = {total}, off by {total - 1.0:+.3e}")

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import tracemalloc
 from contextlib import contextmanager
@@ -17,18 +18,44 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
-def bits_corpus():
-    """The bits corpus as `scripts/bits_golden.py` computes it from the
-    current code, computed once per test run."""
+def bits_golden():
+    """`scripts/bits_golden.py` as a module."""
     spec = importlib.util.spec_from_file_location("bits_golden", ROOT / "scripts" / "bits_golden.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.corpus()
+    return module
+
+
+@pytest.fixture(scope="session")
+def bits_corpus(bits_golden):
+    """The bits corpus as `scripts/bits_golden.py` computes it from the
+    current code, computed once per test run."""
+    return bits_golden.corpus()
+
+
+@pytest.fixture(scope="session")
+def pinned_corpus(bits_golden):
+    """The corpus that tests/data/bits_golden.json pins for the numpy loops
+    of this process; a process on loops it does not pin fails here."""
+    golden = json.loads((ROOT / "tests" / "data" / "bits_golden.json").read_text())
+    found = bits_golden.targets()
+    expected = bits_golden.pinned(golden, found)
+    if expected is None:
+        pytest.fail(f"no bits are pinned for numpy's loops {found}; pinned: "
+                    f"{[golden['targets']] + [p['targets'] for p in golden['paths']]}")
+    return expected
 
 
 def ragged(rows):
     """The flat array and the offsets of a block of rows."""
     return np.concatenate(rows), offsets_of([r.size for r in rows])
+
+
+def row_sums(x, offsets):
+    """np.add.reduceat of each row of a block alone, from a copy of the row:
+    the normalizer that simplex_rows takes from the whole block."""
+    return np.array([np.add.reduceat(x[a:b].copy(), [0])[0]
+                     for a, b in zip(offsets[:-1], offsets[1:])])
 
 
 def peak_bytes(fn):

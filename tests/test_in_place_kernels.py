@@ -4,7 +4,7 @@ out-of-place expressions they replaced, written out here.
 
 The exact sums keep math.fsum's bits, which is what the out-of-place
 extraction returned; the other kernels are compared with the expressions
-themselves.
+themselves, simplex rows with each row over its own np.add.reduceat sum.
 """
 
 import math
@@ -23,7 +23,7 @@ from entrokit.distributions import (
 )
 from entrokit.entropy import entropy_terms, simplex_rows
 
-from conftest import ragged
+from conftest import ragged, row_sums
 
 
 def frozen(x):
@@ -123,7 +123,7 @@ def test_entropy_terms_of_a_2d_block_with_a_broadcast_log_h():
 def test_simplex_rows_keep_the_out_of_place_draw(sizes):
     offsets = frozen(offsets_of(sizes))
     w = np.random.default_rng(8).exponential(size=offsets[-1])
-    expected = w / np.repeat(row_fsums(w, offsets), np.diff(offsets))
+    expected = w / np.repeat(row_sums(w, offsets), np.diff(offsets))
     drawn = simplex_rows(np.random.default_rng(8), offsets)
     assert drawn.tobytes() == expected.tobytes()
 
@@ -156,7 +156,7 @@ def test_suite_mixtures_keep_the_out_of_place_expression(monkeypatch):
     for (n,), (flat, offsets) in zip(replayed, blocks, strict=True):
         drawn = offsets[: 2 * n.size + 1]
         raw = rng.exponential(size=drawn[-1])
-        ab = raw / np.repeat(row_fsums(raw, drawn), np.diff(drawn))
+        ab = raw / np.repeat(row_sums(raw, drawn), np.diff(drawn))
         w = np.repeat(rng.uniform(0.0, 1.0, n.size), n)
         a, b = np.split(ab, 2)
         assert flat.tobytes() == np.concatenate((ab, w * a + (1.0 - w) * b)).tobytes()
